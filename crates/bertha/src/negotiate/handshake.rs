@@ -7,14 +7,22 @@
 //! implementation and the connection carries data.
 //!
 //! Negotiation frames and data frames share the underlying connection, so
-//! every payload is prefixed with a one-byte tag. The handshake tolerates
-//! datagram loss: the client retransmits its offer until a reply arrives,
-//! and an established server connection answers duplicate offers by
-//! re-sending its cached reply.
+//! every payload carries the negotiate-channel framing of [`wire`] (the only
+//! module that knows its layout). The handshake tolerates datagram loss: the
+//! client retransmits its offer until a reply arrives, and an established
+//! server connection answers duplicate offers by re-sending its cached
+//! reply.
+//!
+//! There is one server handshake, [`server_handshake`]: the static
+//! ([`negotiate_server_once`]) and re-negotiable
+//! ([`negotiate_server_switchable`](super::negotiate_server_switchable))
+//! servers differ only in what they wrap the raw connection with afterwards,
+//! and one accept loop, [`NegotiatedStream`], runs either per connection.
 
 use super::apply::{Apply, GetOffers};
 use super::pick::{pick_stack, DefaultPolicy, PolicyRef};
-use super::types::{NegotiateMsg, Offer, ServerPicks};
+use super::types::{Endpoints, NegotiateMsg, Offer, Scope, ServerPicks};
+use super::wire::{self, frame_neg, Kind};
 use crate::addr::Addr;
 use crate::buf::Frame;
 use crate::chunnel::ConnStream;
@@ -26,8 +34,6 @@ use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-
-pub use super::wire::{TAG_DATA, TAG_NEG, TAG_NEG_TRACE};
 
 /// Which side of the handshake we are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,38 +153,6 @@ pub(crate) fn impl_names(picks: &[Offer]) -> String {
         .join(",")
 }
 
-pub(crate) fn frame(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(1 + body.len());
-    v.push(tag);
-    v.extend_from_slice(body);
-    v
-}
-
-/// Frame a negotiation message with its trace context:
-/// `[TAG_NEG_TRACE][25-byte context][body]`.
-pub(crate) fn frame_neg(ctx: &tele::TraceContext, body: &[u8]) -> Vec<u8> {
-    let enc = ctx.encode();
-    let mut v = Vec::with_capacity(1 + enc.len() + body.len());
-    v.push(TAG_NEG_TRACE);
-    v.extend_from_slice(&enc);
-    v.extend_from_slice(body);
-    v
-}
-
-/// Split a received negotiation frame into its optional trace context and
-/// the serialized message body. `None` if the buffer is not a negotiation
-/// frame (wrong tag, or a traced frame too short to hold a context).
-pub(crate) fn neg_parts(buf: &[u8]) -> Option<(Option<tele::TraceContext>, &[u8])> {
-    match buf.split_first() {
-        Some((&TAG_NEG, body)) => Some((None, body)),
-        Some((&TAG_NEG_TRACE, rest)) => {
-            let ctx = tele::TraceContext::decode(rest)?;
-            Some((Some(ctx), &rest[tele::tracectx::WIRE_LEN..]))
-        }
-        _ => None,
-    }
-}
-
 pub(crate) async fn apply_filter(
     filter: &Option<Arc<dyn OfferFilter>>,
     role: Role,
@@ -194,12 +168,18 @@ pub(crate) async fn apply_filter(
         None => {
             // No discovery service attached: implementations that live
             // outside the application (accelerated variants) cannot be
-            // confirmed available, so only in-process fallbacks are
-            // offered ("applications use the software fallback ... when
-            // no network or host provided implementation can be used",
-            // §2).
+            // confirmed available here, so of what this endpoint would
+            // host only in-process fallbacks are offered ("applications
+            // use the software fallback ... when no network or host
+            // provided implementation can be used", §2). An implementation
+            // hosted wholly by the peer asks nothing of this side; whether
+            // it is available is for the peer's filter to say.
+            let peer_only = match role {
+                Role::Client => Endpoints::Server,
+                Role::Server => Endpoints::Client,
+            };
             for slot in slots.iter_mut() {
-                slot.retain(|o| o.scope == crate::negotiate::Scope::Application);
+                slot.retain(|o| o.scope == Scope::Application || o.endpoints == peer_only);
             }
         }
     }
@@ -242,12 +222,8 @@ where
                 Err(_elapsed) => break, // per-attempt timeout: retransmit
                 Ok(r) => r?,
             };
-            match buf.first().copied() {
-                Some(TAG_NEG) | Some(TAG_NEG_TRACE) => {
-                    let Some((_peer_ctx, body)) = neg_parts(&buf) else {
-                        // Truncated traced frame; treat as junk.
-                        continue;
-                    };
+            match wire::classify(&buf) {
+                Kind::Neg { body, .. } => {
                     let msg: NegotiateMsg = bincode::deserialize(body)?;
                     match msg {
                         NegotiateMsg::ServerReply(Ok(picks)) => {
@@ -306,18 +282,18 @@ where
                         }
                     }
                 }
-                Some(TAG_DATA) => {
+                Kind::Data { off } => {
                     // Data reordered ahead of the reply; deliver it after
                     // the stack is applied. Stripping the tag is O(1) on
                     // the pooled frame.
-                    buf.strip(1);
+                    buf.strip(off);
                     pending.push((from, buf));
                 }
-                _ => {
-                    // Unknown tag: a stray datagram from something else on
-                    // the network. Ignore it rather than failing the
-                    // handshake.
-                }
+                // Epoch-tagged data cannot belong to a connection that has
+                // not finished its first handshake, and anything else is a
+                // stray datagram from something else on the network.
+                // Ignore both rather than failing the handshake.
+                Kind::DataEpoch { .. } | Kind::Unknown => {}
             }
         }
         backoff = backoff.saturating_mul(2);
@@ -398,7 +374,7 @@ where
     type Data = Datagram;
 
     fn send(&self, (addr, mut body): Datagram) -> BoxFut<'_, Result<(), Error>> {
-        body.prepend(&[TAG_DATA]);
+        wire::prepend_data(&mut body, 0);
         self.inner.send((addr, body))
     }
 
@@ -409,12 +385,12 @@ where
             }
             loop {
                 let (from, mut buf) = self.inner.recv().await?;
-                match buf.first().copied() {
-                    Some(TAG_DATA) => {
-                        buf.strip(1);
+                match wire::classify(&buf) {
+                    Kind::Data { off } => {
+                        buf.strip(off);
                         return Ok((from, buf));
                     }
-                    Some(TAG_NEG) | Some(TAG_NEG_TRACE) => {
+                    Kind::Neg { .. } => {
                         // A server's established connection answers a
                         // duplicate offer by repeating its cached reply (the
                         // client's copy was lost); a client ignores late
@@ -423,10 +399,11 @@ where
                             self.inner.send((from, reply.clone())).await?;
                         }
                     }
-                    // Unknown tag: a stray datagram (port scan, stale
-                    // peer). Dropping it keeps one junk frame from killing
-                    // an established connection.
-                    _ => {}
+                    // Epoch-tagged data (this connection never leaves epoch
+                    // 0) or a stray datagram (port scan, stale peer).
+                    // Dropping it keeps one junk frame from killing an
+                    // established connection.
+                    Kind::DataEpoch { .. } | Kind::Unknown => {}
                 }
             }
         })
@@ -465,16 +442,63 @@ where
     Ok((applied, picks))
 }
 
-/// Negotiate and apply `stack` for one incoming raw connection
-/// (server side).
-pub async fn negotiate_server_once<S, InC>(
-    stack: S,
-    raw: InC,
+/// The outcome of a successful [`server_handshake`]: everything a server
+/// needs to wrap the raw connection, static or re-negotiable.
+pub struct Accepted {
+    /// The client's address, as the transport reported it.
+    pub from: Addr,
+    /// The epoch the connection starts at: 0 for a fresh offer, the
+    /// proposed epoch when the first message was a `Renegotiate`.
+    pub epoch: u64,
+    /// What was picked, per slot.
+    pub picks: ServerPicks,
+    /// The reply as sent, re-sent verbatim when the client retransmits.
+    pub reply_frame: Frame,
+    /// This connection's trace context, a child of the client's.
+    pub ctx: tele::TraceContext,
+}
+
+/// One pick round against the peer's offer: re-filter our slots, pick, and
+/// run the discovery hooks (resource claims, init) *before* anyone is told
+/// the round succeeded — a failed claim must surface as a rejection, not as
+/// a silently-dead connection the peer keeps sending into.
+pub(crate) async fn pick_round(
     opts: &NegotiateOpts,
-) -> Result<S::Applied, Error>
+    role: Role,
+    slots: Vec<Vec<Offer>>,
+    peer_msg: &NegotiateMsg,
+) -> Result<ServerPicks, Error> {
+    let slots = apply_filter(&opts.filter, role, slots).await?;
+    let picks = pick_stack(&opts.name, &slots, peer_msg, &*opts.policy)?;
+    if let Some(f) = &opts.filter {
+        f.picked(role, &picks.picks)
+            .await
+            .map_err(|e| Error::Negotiation(format!("implementation init failed: {e}")))?;
+    }
+    Ok(picks)
+}
+
+/// The server side of the handshake on one raw connection: receive the
+/// first message, pick against `stack`'s offers, reply.
+///
+/// The first message is normally a `ClientOffer`. With `resume`, it may
+/// also be a `Renegotiate`: a client that lost its previous peer process (a
+/// crashed steerer whose canonical address was rebound) re-proposes its
+/// next epoch on what is, from this side, a brand-new connection, and the
+/// connection starts at that epoch. Without `resume` such a proposal is
+/// refused in kind (`RenegotiateReply { Err }`), so the client fails fast
+/// instead of waiting out its retransmissions for a reply type it ignores.
+///
+/// A round that ends in a rejection has told the client so before this
+/// returns `Err`.
+pub async fn server_handshake<C>(
+    stack: &impl GetOffers,
+    raw: &C,
+    opts: &NegotiateOpts,
+    resume: bool,
+) -> Result<Accepted, Error>
 where
-    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
-    S: GetOffers + Apply<NegotiatedConn<InC>>,
+    C: ChunnelConnection<Data = Datagram>,
 {
     tele::counter("negotiate.server.handshakes").incr();
     let start = std::time::Instant::now();
@@ -486,52 +510,38 @@ where
             what: "client offer",
         })??;
 
-    let (client_ctx, body) = match neg_parts(&buf) {
-        Some(parts) => parts,
-        None => {
-            return Err(Error::Negotiation(
-                "expected a negotiation handshake as the first message".into(),
-            ))
-        }
+    let Kind::Neg {
+        ctx: client_ctx,
+        body,
+    } = wire::classify(&buf)
+    else {
+        return Err(Error::Negotiation(
+            "expected a negotiation handshake as the first message".into(),
+        ));
     };
     let client_msg: NegotiateMsg = bincode::deserialize(body)?;
-    // Our spans join the client's trace when it sent one; an untraced
-    // client gets a fresh server-rooted trace.
-    let ctx = client_ctx
-        .map(|c| c.child())
-        .unwrap_or_else(tele::TraceContext::new_root);
-    let parent_span = client_ctx.map(|c| c.span_id).unwrap_or(0);
-
-    let slots = apply_filter(&opts.filter, Role::Server, stack.offers()).await?;
-    let outcome = pick_stack(&opts.name, &slots, &client_msg, &*opts.policy);
-
-    // Run the discovery hooks (resource claims, init) *before* telling the
-    // client negotiation succeeded: a failed claim must surface as a
-    // rejection, not as a silently-dead server connection the client keeps
-    // sending into.
-    let outcome = match outcome {
-        Ok(picks) => {
-            if let Some(f) = &opts.filter {
-                match f.picked(Role::Server, &picks.picks).await {
-                    Ok(()) => Ok(picks),
-                    Err(e) => Err(Error::Negotiation(format!(
-                        "implementation init failed: {e}"
-                    ))),
-                }
-            } else {
-                Ok(picks)
-            }
+    let (peer, epoch) = match &client_msg {
+        NegotiateMsg::ClientOffer { name, .. } => (name.as_str(), None),
+        NegotiateMsg::Renegotiate { name, epoch, .. } => (name.as_str(), Some(*epoch)),
+        other => {
+            return Err(Error::Negotiation(format!(
+                "expected an offer as the first message, got {other:?}"
+            )))
         }
-        Err(e) => Err(e),
     };
+    // Our spans join the client's trace.
+    let ctx = client_ctx.child();
+    let parent_span = client_ctx.span_id;
 
-    let peer = match &client_msg {
-        NegotiateMsg::ClientOffer { name, .. } | NegotiateMsg::Renegotiate { name, .. } => {
-            name.clone()
-        }
-        _ => String::new(),
+    let outcome = if epoch.is_some() && !resume {
+        Err(Error::Negotiation(
+            "this server does not resume re-negotiated connections; reconnect with a fresh offer"
+                .into(),
+        ))
+    } else {
+        pick_round(opts, Role::Server, stack.offers(), &client_msg).await
     };
-    let (picks, reply) = match outcome {
+    match &outcome {
         Ok(picks) => {
             let elapsed = start.elapsed();
             tele::histogram("negotiate.server.handshake_us").record_duration(elapsed);
@@ -543,14 +553,14 @@ where
                 parent_span,
                 start,
                 tele::span::SpanStatus::Ok,
-                &[("peer", peer.clone())],
+                &[("peer", peer.to_owned())],
             );
             tele::event!(
                 tele::Level::Info,
                 "negotiate",
                 "server_picked",
                 "name" = opts.name.as_str(),
-                "peer" = peer.as_str(),
+                "peer" = peer,
                 "slots" = picks.picks.len(),
                 "impls" = impl_names(&picks.picks),
                 "elapsed_us" = elapsed.as_micros() as u64,
@@ -558,8 +568,6 @@ where
                 "span_id" = ctx.span_id,
                 "parent_span_id" = parent_span,
             );
-            let reply = NegotiateMsg::ServerReply(Ok(picks.clone()));
-            (Some(picks), reply)
         }
         Err(e) => {
             tele::counter("negotiate.server.rejections").incr();
@@ -568,41 +576,89 @@ where
                 "negotiate",
                 "server_rejected",
                 "name" = opts.name.as_str(),
-                "peer" = peer.as_str(),
+                "peer" = peer,
                 "reason" = e.to_string(),
                 "trace_id" = ctx.trace_hex(),
                 "span_id" = ctx.span_id,
                 "parent_span_id" = parent_span,
             );
-            (None, NegotiateMsg::ServerReply(Err(e.to_string())))
         }
+    }
+
+    // The reply mirrors the message it answers.
+    let result = outcome.as_ref().map_err(ToString::to_string).cloned();
+    let reply = match epoch {
+        None => NegotiateMsg::ServerReply(result),
+        Some(epoch) => NegotiateMsg::RenegotiateReply {
+            epoch,
+            reply: result,
+        },
     };
     let reply_frame: Frame = frame_neg(&ctx, &bincode::serialize(&reply)?).into();
-    raw.send((from, reply_frame.clone())).await?;
+    raw.send((from.clone(), reply_frame.clone())).await?;
 
-    let picks = match picks {
-        Some(p) => p,
-        None => {
-            return Err(Error::Negotiation(
-                "no compatible implementation; rejection sent to client".into(),
-            ))
-        }
-    };
-    let conn = NegotiatedConn::server(raw, reply_frame);
-    stack.apply(picks.picks, picks.nonce, conn).await
+    Ok(Accepted {
+        from,
+        epoch: epoch.unwrap_or(0),
+        picks: outcome?,
+        reply_frame,
+        ctx,
+    })
 }
+
+/// Negotiate and apply `stack` for one incoming raw connection
+/// (server side).
+pub async fn negotiate_server_once<S, InC>(
+    stack: S,
+    raw: InC,
+    opts: &NegotiateOpts,
+) -> Result<S::Applied, Error>
+where
+    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
+    S: GetOffers + Apply<NegotiatedConn<InC>>,
+{
+    let accepted = server_handshake(&stack, &raw, opts, false).await?;
+    let conn = NegotiatedConn::server(raw, accepted.reply_frame);
+    stack
+        .apply(accepted.picks.picks, accepted.picks.nonce, conn)
+        .await
+}
+
+/// How a [`NegotiatedStream`] negotiates one accepted raw connection.
+type NegotiateFn<Stack, InC, A> =
+    fn(Stack, InC, Arc<NegotiateOpts>) -> BoxFut<'static, Result<A, Error>>;
 
 /// A stream of negotiated connections: wraps a raw listener stream, running
 /// the server handshake concurrently for each incoming connection so a slow
 /// or silent client cannot stall the accept loop.
-pub struct NegotiatedStream<S, Stack, A> {
+///
+/// [`new`](NegotiatedStream::new) yields static connections,
+/// [`switchable`](NegotiatedStream::switchable) re-negotiable ones; the
+/// accept loop is the same.
+pub struct NegotiatedStream<S: ConnStream, Stack, A> {
     raw: Option<S>,
     stack: Stack,
     opts: Arc<NegotiateOpts>,
+    negotiate: NegotiateFn<Stack, S::Connection, A>,
     inflight: tokio::task::JoinSet<Result<A, Error>>,
 }
 
-impl<S, Stack> NegotiatedStream<S, Stack, ()> {
+impl<S: ConnStream, Stack> NegotiatedStream<S, Stack, ()> {
+    pub(super) fn with<A: Send + 'static>(
+        raw: S,
+        stack: Stack,
+        opts: NegotiateOpts,
+        negotiate: NegotiateFn<Stack, S::Connection, A>,
+    ) -> NegotiatedStream<S, Stack, A> {
+        NegotiatedStream {
+            raw: Some(raw),
+            stack,
+            opts: Arc::new(opts),
+            negotiate,
+            inflight: tokio::task::JoinSet::new(),
+        }
+    }
+
     /// Wrap `raw`, negotiating `stack` for each incoming connection.
     pub fn new<InC>(
         raw: S,
@@ -615,23 +671,19 @@ impl<S, Stack> NegotiatedStream<S, Stack, ()> {
         Stack: GetOffers + Apply<NegotiatedConn<InC>> + Clone + Send + Sync + 'static,
         Stack::Applied: Send + 'static,
     {
-        NegotiatedStream {
-            raw: Some(raw),
-            stack,
-            opts: Arc::new(opts),
-            inflight: tokio::task::JoinSet::new(),
-        }
+        Self::with(raw, stack, opts, |stack, conn, opts| {
+            Box::pin(async move { negotiate_server_once(stack, conn, &opts).await })
+        })
     }
 }
 
-impl<S, Stack, InC> ConnStream for NegotiatedStream<S, Stack, Stack::Applied>
+impl<S, Stack, A> ConnStream for NegotiatedStream<S, Stack, A>
 where
-    S: ConnStream<Connection = InC> + Send,
-    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
-    Stack: GetOffers + Apply<NegotiatedConn<InC>> + Clone + Send + Sync + 'static,
-    Stack::Applied: ChunnelConnection + Send + 'static,
+    S: ConnStream,
+    Stack: Clone + Send,
+    A: ChunnelConnection + Send + 'static,
 {
-    type Connection = Stack::Applied;
+    type Connection = A;
 
     fn next(&mut self) -> BoxFut<'_, Option<Result<Self::Connection, Error>>> {
         Box::pin(async move {
@@ -648,11 +700,9 @@ where
                     }, if self.raw.is_some() => {
                         match incoming {
                             Some(Ok(conn)) => {
-                                let stack = self.stack.clone();
-                                let opts = Arc::clone(&self.opts);
-                                self.inflight.spawn(async move {
-                                    negotiate_server_once(stack, conn, &opts).await
-                                });
+                                let negotiating =
+                                    (self.negotiate)(self.stack.clone(), conn, Arc::clone(&self.opts));
+                                self.inflight.spawn(negotiating);
                             }
                             Some(Err(e)) => return Some(Err(e)),
                             None => {
@@ -681,7 +731,7 @@ where
 mod tests {
     use super::*;
     use crate::chunnel::{Chunnel, RecvStream};
-    use crate::conn::pair;
+    use crate::conn::{pair, ChanConn};
     use crate::negotiate::{guid, Negotiate};
     use crate::wrap;
 
@@ -806,47 +856,27 @@ mod tests {
             .unwrap();
         assert_eq!(picks.picks.len(), 1);
 
-        // Pretend our reply was lost: re-send the offer as a *plain*
-        // (untraced) negotiation frame — the established server connection
-        // must still recognize it and re-reply rather than treating it as
-        // data. The reply itself carries the server's trace context.
+        // Pretend our reply was lost: re-send the offer. The established
+        // server connection must recognize it and re-reply rather than
+        // treating it as data.
         let body = bincode::serialize(&offer).unwrap();
         cli_raw
-            .send((addr.clone(), frame(TAG_NEG, &body).into()))
+            .send((addr.clone(), frame_neg(&ctx, &body).into()))
             .await
             .unwrap();
         let (_, buf) = cli_raw.recv().await.unwrap();
-        assert_eq!(buf[0], TAG_NEG_TRACE, "got a re-reply");
-        let (reply_ctx, _) = neg_parts(&buf).expect("re-reply parses");
-        assert!(reply_ctx.is_some(), "re-reply carries the server context");
+        assert!(
+            matches!(wire::classify(&buf), Kind::Neg { .. }),
+            "got a re-reply"
+        );
 
         // And data still flows.
-        cli_raw
-            .send((addr.clone(), frame(TAG_DATA, b"hello").into()))
-            .await
-            .unwrap();
+        let mut hello: Frame = b"hello".into();
+        wire::prepend_data(&mut hello, 0);
+        cli_raw.send((addr.clone(), hello.clone())).await.unwrap();
         let (_, buf) = cli_raw.recv().await.unwrap();
-        assert_eq!(&buf, &frame(TAG_DATA, b"hello"));
+        assert_eq!(buf, hello);
         srv.await.unwrap().unwrap();
-    }
-
-    #[test]
-    fn neg_frame_helpers_roundtrip() {
-        let ctx = tele::TraceContext::new_root();
-        let body = b"payload";
-        let traced = frame_neg(&ctx, body);
-        assert_eq!(traced[0], TAG_NEG_TRACE);
-        let (got, rest) = neg_parts(&traced).unwrap();
-        assert_eq!(got, Some(ctx));
-        assert_eq!(rest, body);
-        // Plain frames parse with no context; non-negotiation tags and
-        // truncated traced frames do not parse at all.
-        let plain = frame(TAG_NEG, body);
-        let (got, rest) = neg_parts(&plain).unwrap();
-        assert!(got.is_none());
-        assert_eq!(rest, body);
-        assert!(neg_parts(&frame(TAG_DATA, body)).is_none());
-        assert!(neg_parts(&[TAG_NEG_TRACE, 1, 2]).is_none());
     }
 
     #[tokio::test]
@@ -865,104 +895,115 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn negotiated_stream_accepts_many() {
-        let (conn_tx, conn_rx) = tokio::sync::mpsc::channel(8);
-        let raw_stream = RecvStream::new(conn_rx);
-        let mut stream = NegotiatedStream::new(raw_stream, wrap!(Rel), NegotiateOpts::named("srv"));
+    /// The accept loop, whichever handshake it runs per connection: a
+    /// client that connects first and stays silent must not hold up the
+    /// ones behind it, and is still served once it speaks.
+    async fn accepts_many_past_a_silent_client<St>(
+        make: impl FnOnce(RecvStream<ChanConn<Datagram>>) -> St,
+    ) where
+        St: ConnStream,
+        St::Connection: ChunnelConnection<Data = Datagram>,
+    {
+        async fn client(id: u8, raw: ChanConn<Datagram>) {
+            let addr = Addr::Mem(format!("srv-{id}"));
+            let (conn, _) =
+                negotiate_client(wrap!(Rel), raw, addr.clone(), &NegotiateOpts::default())
+                    .await
+                    .unwrap();
+            conn.send((addr, vec![id].into())).await.unwrap();
+        }
+        async fn accept_id<St>(stream: &mut St) -> u8
+        where
+            St: ConnStream,
+            St::Connection: ChunnelConnection<Data = Datagram>,
+        {
+            let conn = stream.next().await.expect("stream ended early");
+            let (_, data) = conn.expect("handshake failed").recv().await.unwrap();
+            data[0]
+        }
 
+        let (conn_tx, conn_rx) = tokio::sync::mpsc::channel(8);
+        let mut stream = make(RecvStream::new(conn_rx));
+
+        let (silent_raw, srv_raw) = pair::<Datagram>(16);
+        conn_tx.send(Ok(srv_raw)).await.unwrap();
         let mut clients = Vec::new();
-        for i in 0..3 {
+        for id in 0..3 {
             let (cli_raw, srv_raw) = pair::<Datagram>(16);
             conn_tx.send(Ok(srv_raw)).await.unwrap();
-            clients.push(tokio::spawn(async move {
-                let addr = Addr::Mem(format!("srv-{i}"));
-                let (conn, _) =
-                    negotiate_client(wrap!(Rel), cli_raw, addr.clone(), &NegotiateOpts::default())
-                        .await
-                        .unwrap();
-                conn.send((addr, vec![i as u8].into())).await.unwrap();
-            }));
+            clients.push(tokio::spawn(client(id, cli_raw)));
         }
         drop(conn_tx);
 
         let mut seen = Vec::new();
-        while let Some(conn) = stream.next().await {
-            let conn = conn.unwrap();
-            let (_, data) = conn.recv().await.unwrap();
-            seen.push(data[0]);
+        for _ in 0..3 {
+            seen.push(accept_id(&mut stream).await);
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
+
+        // Only now does the first connection say anything.
+        clients.push(tokio::spawn(client(3, silent_raw)));
+        assert_eq!(accept_id(&mut stream).await, 3);
+        assert!(stream.next().await.is_none());
         for c in clients {
             c.await.unwrap();
         }
     }
-}
 
-#[cfg(test)]
-mod frame_props {
-    use super::{frame, frame_neg, neg_parts, tele, TAG_NEG, TAG_NEG_TRACE};
-    use proptest::prelude::*;
-
-    fn ctx_strategy() -> impl Strategy<Value = tele::TraceContext> {
-        (any::<u128>(), any::<u64>(), any::<bool>()).prop_map(|(trace_id, span_id, sampled)| {
-            tele::TraceContext {
-                trace_id,
-                span_id,
-                sampled,
-            }
+    #[tokio::test]
+    async fn negotiated_stream_accepts_many() {
+        accepts_many_past_a_silent_client(|raw| {
+            NegotiatedStream::new(raw, wrap!(Rel), NegotiateOpts::named("srv"))
         })
+        .await;
     }
 
-    proptest! {
-        #[test]
-        fn traced_frame_round_trips(ctx in ctx_strategy(), body in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let framed = frame_neg(&ctx, &body);
-            let (got_ctx, got_body) = neg_parts(&framed).expect("own framing must parse");
-            prop_assert_eq!(got_ctx, Some(ctx));
-            prop_assert_eq!(got_body, &body[..]);
-        }
+    #[tokio::test]
+    async fn switchable_stream_accepts_many() {
+        accepts_many_past_a_silent_client(|raw| {
+            NegotiatedStream::switchable(raw, wrap!(Rel), NegotiateOpts::named("srv"))
+        })
+        .await;
+    }
 
-        #[test]
-        fn plain_frame_round_trips(body in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let framed = frame(TAG_NEG, &body);
-            let (got_ctx, got_body) = neg_parts(&framed).expect("own framing must parse");
-            prop_assert_eq!(got_ctx, None);
-            prop_assert_eq!(got_body, &body[..]);
-        }
+    #[tokio::test]
+    async fn static_server_refuses_a_first_message_renegotiate_in_kind() {
+        let (cli_raw, srv_raw) = pair::<Datagram>(16);
+        let srv = tokio::spawn(async move {
+            negotiate_server_once(wrap!(Rel), srv_raw, &NegotiateOpts::named("srv"))
+                .await
+                .map(|_| ())
+        });
 
-        #[test]
-        fn truncated_traced_frames_reject(ctx in ctx_strategy(), cut in 0usize..26) {
-            // Anything shorter than tag + full context cannot parse, and
-            // must reject rather than panic.
-            let framed = frame_neg(&ctx, &[]);
-            prop_assert!(neg_parts(&framed[..cut]).is_none());
-        }
+        let proposal = NegotiateMsg::Renegotiate {
+            epoch: 3,
+            name: "cli".into(),
+            slots: wrap!(Rel).offers(),
+            registered: vec![],
+        };
+        let body = bincode::serialize(&proposal).unwrap();
+        cli_raw
+            .send((
+                Addr::Mem("srv".into()),
+                frame_neg(&tele::TraceContext::new_root(), &body).into(),
+            ))
+            .await
+            .unwrap();
 
-        #[test]
-        fn unknown_tags_reject(tag in any::<u8>(), body in proptest::collection::vec(any::<u8>(), 0..64)) {
-            prop_assume!(tag != TAG_NEG && tag != TAG_NEG_TRACE);
-            prop_assert!(neg_parts(&frame(tag, &body)).is_none());
+        // The refusal is the reply type a renegotiating client waits for,
+        // so it fails at once instead of retransmitting into a timeout.
+        let (_, buf) = cli_raw.recv().await.unwrap();
+        let Kind::Neg { body, .. } = wire::classify(&buf) else {
+            panic!("expected a negotiation frame");
+        };
+        match bincode::deserialize::<NegotiateMsg>(body).unwrap() {
+            NegotiateMsg::RenegotiateReply {
+                epoch: 3,
+                reply: Err(why),
+            } => assert!(why.contains("does not resume"), "{why}"),
+            other => panic!("expected a refused RenegotiateReply, got {other:?}"),
         }
-
-        #[test]
-        fn arbitrary_bytes_never_panic(buf in proptest::collection::vec(any::<u8>(), 0..128)) {
-            // The parse either succeeds or returns None; the call itself
-            // is the assertion.
-            let _ = neg_parts(&buf);
-        }
-
-        #[test]
-        fn flipped_flag_byte_only_toggles_sampling(ctx in ctx_strategy(), flags in any::<u8>()) {
-            let mut framed = frame_neg(&ctx, b"body");
-            framed[1 + tele::tracectx::WIRE_LEN - 1] = flags;
-            let (got_ctx, got_body) = neg_parts(&framed).expect("length unchanged, must parse");
-            let got_ctx = got_ctx.expect("still a traced frame");
-            prop_assert_eq!(got_ctx.trace_id, ctx.trace_id);
-            prop_assert_eq!(got_ctx.span_id, ctx.span_id);
-            prop_assert_eq!(got_ctx.sampled, flags & 1 == 1);
-            prop_assert_eq!(got_body, b"body");
-        }
+        assert!(srv.await.unwrap().is_err(), "no connection comes of it");
     }
 }

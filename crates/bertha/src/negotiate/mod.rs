@@ -7,7 +7,11 @@
 //! - [`types`]: the [`Negotiate`] trait, offers, and wire messages;
 //! - [`apply`]: collecting offers from, and applying picks to, typed stacks;
 //! - [`pick`]: capability intersection and the operator policy;
-//! - [`handshake`]: the on-the-wire protocol, loss-tolerant on datagrams;
+//! - [`handshake`]: the on-the-wire protocol, loss-tolerant on datagrams —
+//!   one server handshake and one accept loop, whatever the connection is
+//!   wrapped with afterwards;
+//! - [`wire`]: the framing of that protocol (and every other tag byte in
+//!   the workspace); the only module that knows a negotiate-channel tag;
 //! - [`dynamic`]: Listing 5's registered-fallback path, where an empty
 //!   client stack is dictated by the server;
 //! - [`renegotiate`]: mid-connection re-negotiation — epoch-tagged stack
@@ -27,8 +31,8 @@ pub use dynamic::{
     global_registry, negotiate_client_dynamic, register_chunnel, DynChunnel, DynRegistry,
 };
 pub use handshake::{
-    client_handshake, negotiate_client, negotiate_server_once, NegotiateOpts, NegotiatedConn,
-    NegotiatedStream, OfferFilter, Role, TAG_DATA, TAG_NEG, TAG_NEG_TRACE,
+    client_handshake, negotiate_client, negotiate_server_once, server_handshake, Accepted,
+    NegotiateOpts, NegotiatedConn, NegotiatedStream, OfferFilter, Role,
 };
 pub use pick::{
     candidates_for_slot, pick_slot, pick_stack, Candidate, DefaultPolicy, FnPolicy, Policy,
@@ -36,6 +40,6 @@ pub use pick::{
 };
 pub use renegotiate::{
     negotiate_server_switchable, negotiate_switchable_client, ConnTelemetry, EpochConn,
-    StackFactory, SwitchTarget, SwitchTargetRef, SwitchableConn, SwitchableStream, TAG_DATA_EPOCH,
+    StackFactory, SwitchTarget, SwitchTargetRef, SwitchableConn, SwitchableStream,
 };
 pub use types::{guid, Endpoints, Negotiate, NegotiateMsg, Offer, Scope, ServerPicks};

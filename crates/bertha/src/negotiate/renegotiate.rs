@@ -11,15 +11,15 @@
 //!
 //! - Either side may call [`SwitchableConn::renegotiate`]: it quiesces the
 //!   current stack ([`Drain`]), runs a fresh offer/pick round in-band over
-//!   the same `TAG_NEG` framing as the initial handshake
+//!   the same negotiation framing as the initial handshake
 //!   ([`NegotiateMsg::Renegotiate`] / [`NegotiateMsg::RenegotiateReply`]),
 //!   and atomically swaps in the newly-picked stack.
 //! - Each swap advances an **epoch**. Data sent after a swap is tagged with
-//!   its epoch ([`TAG_DATA_EPOCH`]); frames from a superseded epoch (late
+//!   its epoch ([`Kind::DataEpoch`]); frames from a superseded epoch (late
 //!   retransmissions of already-delivered messages, say) are dropped rather
 //!   than fed to the fresh stack, which would otherwise mistake them for
 //!   new messages. Frames from a *future* epoch (the peer swapped first)
-//!   are buffered and delivered after our own swap. Untagged [`TAG_DATA`]
+//!   are buffered and delivered after our own swap. Plain [`Kind::Data`]
 //!   frames are accepted at any epoch: traffic from components outside the
 //!   negotiated connection (shard workers replying through the steerer,
 //!   epoch-0 peers) is stateless with respect to the stack and must keep
@@ -32,43 +32,33 @@
 //!   duplicated across a swap.
 //!
 //! [`negotiate_server_switchable`] additionally accepts a `Renegotiate` as
-//! the *first* message of a brand-new server connection: a client that lost
-//! its peer entirely (the steering process died and the canonical address
-//! was rebound) re-proposes its next epoch and lands on whatever the
-//! reincarnated server offers — typically the software fallback.
+//! the *first* message of a brand-new server connection (the `resume` mode
+//! of [`server_handshake`]): a client that lost its peer entirely (the
+//! steering process died and the canonical address was rebound) re-proposes
+//! its next epoch and lands on whatever the reincarnated server offers —
+//! typically the software fallback.
 
 use super::apply::{Apply, GetOffers};
 use super::dynamic::global_registry;
-use super::handshake::impl_names;
 use super::handshake::{
-    apply_filter, client_handshake, frame, frame_neg, jittered, neg_parts, NegotiateOpts, Role,
-    TAG_NEG, TAG_NEG_TRACE,
+    apply_filter, client_handshake, impl_names, jittered, pick_round, server_handshake,
+    NegotiateOpts, NegotiatedStream, Role,
 };
-use super::pick::pick_stack;
 use super::types::{NegotiateMsg, Offer, ServerPicks};
+use super::wire::{self, frame_neg, Kind};
 use crate::addr::Addr;
 use crate::buf::Frame;
 use crate::chunnel::ConnStream;
 use crate::conn::{BoxFut, ChunnelConnection, Datagram, Drain};
 use crate::error::Error;
 use crate::introspect::{StackIntrospect, StackReport};
+use crate::util::AbortOnDrop;
 use bertha_telemetry as tele;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tokio::sync::Notify;
-
-pub use super::wire::TAG_DATA_EPOCH;
-
-#[cfg(test)]
-pub(crate) fn frame_epoch(epoch: u64, body: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(9 + body.len());
-    v.push(TAG_DATA_EPOCH);
-    v.extend_from_slice(&epoch.to_le_bytes());
-    v.extend_from_slice(body);
-    v
-}
 
 /// Where `route` put an epoch-tagged data frame; telemetry is recorded
 /// after the inbox/future locks are released.
@@ -184,7 +174,7 @@ struct Core<InC> {
     future: Mutex<Vec<(u64, Datagram)>>,
     inbox_notify: Notify,
     /// Server: serialized reply to the initial offer, re-sent on duplicates.
-    cached_reply: Mutex<Option<Frame>>,
+    cached_reply: Option<Frame>,
     /// Serialized reply to the last renegotiation we answered, re-sent when
     /// the peer retransmits (its copy was lost).
     cached_reneg: Mutex<Option<(u64, Frame)>>,
@@ -193,7 +183,7 @@ struct Core<InC> {
     reneg_reply_notify: Notify,
     /// Responder: the peer's latest proposal (and the trace context it
     /// arrived under), consumed by the responder task.
-    reneg_request: Mutex<Option<(NegotiateMsg, Option<tele::TraceContext>)>>,
+    reneg_request: Mutex<Option<(NegotiateMsg, tele::TraceContext)>>,
     reneg_request_notify: Notify,
     /// Application sends are held while a swap is in progress (counted:
     /// local initiator and responder task may overlap).
@@ -249,21 +239,21 @@ where
     /// `recv` caller routes — there is no dedicated receive task, matching
     /// the pull model of the rest of the crate.
     async fn route(&self, (from, mut buf): Datagram) -> Result<(), Error> {
-        match buf.first().copied() {
-            Some(super::TAG_DATA) => {
+        match wire::classify(&buf) {
+            Kind::Data { off } => {
                 // Untagged data is epoch-agnostic: it may come from an
                 // epoch-0 peer or from outside the negotiated connection
                 // entirely (a shard worker's reply). Always deliver.
                 self.tele.frames_recv.incr();
-                buf.strip(1);
+                buf.strip(off);
                 self.inbox.lock().push_back((from, buf));
                 self.inbox_notify.notify_waiters();
             }
-            Some(TAG_DATA_EPOCH) if buf.len() >= 9 => {
-                let mut eb = [0u8; 8];
-                eb.copy_from_slice(&buf[1..9]);
-                let frame_epoch = u64::from_le_bytes(eb);
-                buf.strip(9);
+            Kind::DataEpoch {
+                epoch: frame_epoch,
+                off,
+            } => {
+                buf.strip(off);
                 let payload = buf;
                 // The epoch must be read while holding the inbox and
                 // future locks: `swap_to` publishes a new epoch and
@@ -302,20 +292,19 @@ where
                     Routed::Stale => self.tele.stale_epoch_drops.incr(),
                 }
             }
-            Some(TAG_NEG) | Some(TAG_NEG_TRACE) => {
+            Kind::Neg {
+                ctx: peer_ctx,
+                body,
+            } => {
                 // Corrupt control frames are dropped like any other junk
                 // datagram; the sender retransmits.
-                let Some((peer_ctx, body)) = neg_parts(&buf) else {
-                    return Ok(());
-                };
                 let Ok(msg) = bincode::deserialize::<NegotiateMsg>(body) else {
                     return Ok(());
                 };
                 match msg {
                     NegotiateMsg::ClientOffer { .. } => {
-                        let cached = self.cached_reply.lock().clone();
-                        if let (Role::Server, Some(reply)) = (self.role, cached) {
-                            self.raw.send((from, reply)).await?;
+                        if let (Role::Server, Some(reply)) = (self.role, &self.cached_reply) {
+                            self.raw.send((from, reply.clone())).await?;
                         }
                     }
                     NegotiateMsg::ServerReply(_) => {
@@ -359,8 +348,8 @@ where
                     }
                 }
             }
-            // Unknown tag: a stray datagram. Drop it.
-            _ => {}
+            // A stray datagram. Drop it.
+            Kind::Unknown => {}
         }
         Ok(())
     }
@@ -487,15 +476,7 @@ where
             if self.epoch < self.core.epoch.load(Ordering::Acquire) {
                 return Err(Error::ConnectionClosed);
             }
-            // Tag in the frame's reserved headroom: no per-send Vec.
-            if self.epoch == 0 {
-                body.prepend(&[super::TAG_DATA]);
-            } else {
-                let mut hdr = [0u8; 9];
-                hdr[0] = TAG_DATA_EPOCH;
-                hdr[1..].copy_from_slice(&self.epoch.to_le_bytes());
-                body.prepend(&hdr);
-            }
+            wire::prepend_data(&mut body, self.epoch);
             let sent = self.core.raw.send((addr, body)).await;
             if sent.is_ok() {
                 self.core.tele.frames_sent.incr();
@@ -531,15 +512,6 @@ where
 }
 
 impl<InC> Drain for EpochConn<InC> {}
-
-/// Abort a background task when the last handle drops.
-struct AbortOnDrop(tokio::task::JoinHandle<()>);
-
-impl Drop for AbortOnDrop {
-    fn drop(&mut self) {
-        self.0.abort();
-    }
-}
 
 /// A connection whose chunnel stack can be re-negotiated and swapped while
 /// it is live. See the module docs for the protocol.
@@ -845,10 +817,8 @@ where
                 reply: Err("simultaneous renegotiation: client round wins".into()),
             };
             if let Ok(body) = bincode::serialize(&reply) {
-                let _ = core
-                    .raw
-                    .send((core.peer.clone(), frame(TAG_NEG, &body).into()))
-                    .await;
+                let refusal = frame_neg(&peer_ctx.child(), &body);
+                let _ = core.raw.send((core.peer.clone(), refusal.into())).await;
             }
             continue;
         }
@@ -863,17 +833,14 @@ async fn respond<InC>(
     factory: &StackFactory<InC>,
     msg: &NegotiateMsg,
     epoch: u64,
-    peer_ctx: Option<tele::TraceContext>,
+    peer_ctx: tele::TraceContext,
 ) -> Result<(), Error>
 where
     InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
 {
-    // Our span for this round: a child of the initiator's round span when
-    // the proposal carried one, else of our own connection trace.
-    let dctx = peer_ctx
-        .map(|c| c.child())
-        .unwrap_or_else(|| core.trace.child());
-    let parent_span = peer_ctx.map(|c| c.span_id).unwrap_or(core.trace.span_id);
+    // Our span for this round: a child of the initiator's round span.
+    let dctx = peer_ctx.child();
+    let parent_span = peer_ctx.span_id;
     let respond_started = std::time::Instant::now();
     // The initiator paused and drained before proposing; drain our side too
     // (its acknowledgments still flow: the initiator's epoch only advances
@@ -884,24 +851,10 @@ where
     let _ = tokio::time::timeout(core.opts.handshake_budget(), target.drain()).await;
     tele::histogram("reneg.drain_us").record_duration(drain_started.elapsed());
 
-    let outcome: Result<ServerPicks, Error> = async {
-        let slots = apply_filter(&core.opts.filter, core.role, core.base_slots.clone()).await?;
-        let picks = pick_stack(&core.opts.name, &slots, msg, &*core.opts.policy)?;
-        if let Some(f) = &core.opts.filter {
-            f.picked(core.role, &picks.picks)
-                .await
-                .map_err(|e| Error::Negotiation(format!("implementation init failed: {e}")))?;
-        }
-        Ok(picks)
-    }
-    .await;
-
+    let outcome = pick_round(&core.opts, core.role, core.base_slots.clone(), msg).await;
     let reply = NegotiateMsg::RenegotiateReply {
         epoch,
-        reply: match &outcome {
-            Ok(p) => Ok(p.clone()),
-            Err(e) => Err(e.to_string()),
-        },
+        reply: outcome.as_ref().map_err(ToString::to_string).cloned(),
     };
     let reply_frame: Frame = frame_neg(&dctx, &bincode::serialize(&reply)?).into();
     *core.cached_reneg.lock() = Some((epoch, reply_frame.clone()));
@@ -911,8 +864,8 @@ where
         swap_to(core, factory, epoch, picks, dctx, parent_span).await?;
     }
     // The responder's half of the round, parented under the initiator's
-    // round span when the proposal carried one — this record is the
-    // cross-host link in the assembled tree.
+    // round span — this record is the cross-host link in the assembled
+    // tree.
     tele::span::record(
         "reneg.respond",
         &core.opts.name,
@@ -929,6 +882,9 @@ where
     Ok(())
 }
 
+/// Build the connection around an agreed stack: `epoch` and `picks` are
+/// what the handshake settled on, `reply` (server side) the frame that told
+/// the peer so, cached for its retransmissions.
 #[allow(clippy::too_many_arguments)]
 async fn assemble<S, InC>(
     stack: S,
@@ -939,8 +895,7 @@ async fn assemble<S, InC>(
     epoch: u64,
     picks: ServerPicks,
     pending: Vec<Datagram>,
-    cached_reply: Option<Frame>,
-    cached_reneg: Option<(u64, Frame)>,
+    reply: Option<Frame>,
     trace: tele::TraceContext,
 ) -> Result<SwitchableConn<InC>, Error>
 where
@@ -950,6 +905,11 @@ where
 {
     let base_slots = stack.offers();
     let factory = factory_from_stack(stack);
+    // The reply answered an offer (epoch 0) or a first-message proposal.
+    let (cached_reply, cached_reneg) = match reply {
+        Some(frame) if epoch > 0 => (None, Some((epoch, frame))),
+        reply => (reply, None),
+    };
     let core = Arc::new(Core {
         raw: Arc::new(raw),
         role,
@@ -962,7 +922,7 @@ where
         inbox: Mutex::new(pending.into()),
         future: Mutex::new(Vec::new()),
         inbox_notify: Notify::new(),
-        cached_reply: Mutex::new(cached_reply),
+        cached_reply,
         cached_reneg: Mutex::new(cached_reneg),
         reneg_reply: Mutex::new(None),
         reneg_reply_notify: Notify::new(),
@@ -1027,7 +987,6 @@ where
         picks.clone(),
         pending,
         None,
-        None,
         ctx,
     )
     .await?;
@@ -1036,10 +995,9 @@ where
 
 /// Like [`negotiate_server_once`](super::negotiate_server_once), but the
 /// returned connection supports mid-connection re-negotiation — and the
-/// *first* message may itself be a [`NegotiateMsg::Renegotiate`]: a client
-/// surviving the loss of its previous peer process (a crashed steerer whose
-/// canonical address was rebound) re-proposes its next epoch on what is,
-/// from this side, a brand-new connection.
+/// *first* message may itself be a [`NegotiateMsg::Renegotiate`], in which
+/// case the connection starts at the proposed epoch (see
+/// [`server_handshake`]).
 pub async fn negotiate_server_switchable<S, InC>(
     stack: S,
     raw: InC,
@@ -1050,230 +1008,45 @@ where
     S: GetOffers + Apply<EpochConn<InC>> + Clone + Send + Sync + 'static,
     S::Applied: ChunnelConnection<Data = Datagram> + Drain + Send + Sync + 'static,
 {
-    tele::counter("negotiate.server.handshakes").incr();
-    let start = std::time::Instant::now();
-    let handshake_deadline = opts.handshake_budget();
-    let (from, buf) = tokio::time::timeout(handshake_deadline, raw.recv())
-        .await
-        .map_err(|_| Error::Timeout {
-            after: handshake_deadline,
-            what: "client offer",
-        })??;
-
-    let Some((client_ctx, body)) = neg_parts(&buf) else {
-        return Err(Error::Negotiation(
-            "expected a negotiation handshake as the first message".into(),
-        ));
-    };
-    // Join the client's trace when the offer carried one; otherwise this
-    // connection roots its own trace.
-    let ctx = client_ctx
-        .map(|c| c.child())
-        .unwrap_or_else(tele::TraceContext::new_root);
-    let parent_span = client_ctx.map(|c| c.span_id).unwrap_or(0);
-    let client_msg: NegotiateMsg = bincode::deserialize(body)?;
-    let epoch = match &client_msg {
-        NegotiateMsg::ClientOffer { .. } => 0,
-        NegotiateMsg::Renegotiate { epoch, .. } => *epoch,
-        other => {
-            return Err(Error::Negotiation(format!(
-                "expected an offer as the first message, got {other:?}"
-            )))
-        }
-    };
-
-    let slots = apply_filter(&opts.filter, Role::Server, stack.offers()).await?;
-    let outcome = pick_stack(&opts.name, &slots, &client_msg, &*opts.policy);
-    let outcome = match outcome {
-        Ok(picks) => {
-            if let Some(f) = &opts.filter {
-                match f.picked(Role::Server, &picks.picks).await {
-                    Ok(()) => Ok(picks),
-                    Err(e) => Err(Error::Negotiation(format!(
-                        "implementation init failed: {e}"
-                    ))),
-                }
-            } else {
-                Ok(picks)
-            }
-        }
-        Err(e) => Err(e),
-    };
-
-    let peer = match &client_msg {
-        NegotiateMsg::ClientOffer { name, .. } | NegotiateMsg::Renegotiate { name, .. } => {
-            name.clone()
-        }
-        _ => String::new(),
-    };
-    let (picks, reply) = match outcome {
-        Ok(picks) => {
-            let elapsed = start.elapsed();
-            tele::histogram("negotiate.server.handshake_us").record_duration(elapsed);
-            tele::bind_nonce(&picks.nonce, ctx);
-            tele::span::record(
-                "negotiate.server",
-                &opts.name,
-                &ctx,
-                parent_span,
-                start,
-                tele::span::SpanStatus::Ok,
-                &[("peer", peer.clone())],
-            );
-            tele::event!(
-                tele::Level::Info,
-                "negotiate",
-                "server_picked",
-                "name" = opts.name.as_str(),
-                "peer" = peer.as_str(),
-                "slots" = picks.picks.len(),
-                "impls" = impl_names(&picks.picks),
-                "elapsed_us" = elapsed.as_micros() as u64,
-                "trace_id" = ctx.trace_hex(),
-                "span_id" = ctx.span_id,
-                "parent_span_id" = parent_span,
-            );
-            let reply = if epoch == 0 {
-                NegotiateMsg::ServerReply(Ok(picks.clone()))
-            } else {
-                NegotiateMsg::RenegotiateReply {
-                    epoch,
-                    reply: Ok(picks.clone()),
-                }
-            };
-            (Some(picks), reply)
-        }
-        Err(e) => {
-            let reply = if epoch == 0 {
-                NegotiateMsg::ServerReply(Err(e.to_string()))
-            } else {
-                NegotiateMsg::RenegotiateReply {
-                    epoch,
-                    reply: Err(e.to_string()),
-                }
-            };
-            (None, reply)
-        }
-    };
-    let reply_frame: Frame = frame_neg(&ctx, &bincode::serialize(&reply)?).into();
-    raw.send((from.clone(), reply_frame.clone())).await?;
-
-    let picks = match picks {
-        Some(p) => p,
-        None => {
-            return Err(Error::Negotiation(
-                "no compatible implementation; rejection sent to client".into(),
-            ))
-        }
-    };
-    let (cached_reply, cached_reneg) = if epoch == 0 {
-        (Some(reply_frame), None)
-    } else {
-        (None, Some((epoch, reply_frame)))
-    };
+    let accepted = server_handshake(&stack, &raw, &opts, true).await?;
     assemble(
         stack,
         raw,
         Role::Server,
-        from,
+        accepted.from,
         opts,
-        epoch,
-        picks,
+        accepted.epoch,
+        accepted.picks,
         Vec::new(),
-        cached_reply,
-        cached_reneg,
-        ctx,
+        Some(accepted.reply_frame),
+        accepted.ctx,
     )
     .await
 }
 
-/// A stream of [`SwitchableConn`]s: the re-negotiable counterpart of
-/// [`NegotiatedStream`](super::NegotiatedStream), running the server
-/// handshake concurrently per incoming connection.
-pub struct SwitchableStream<S: ConnStream, Stack> {
-    raw: Option<S>,
-    stack: Stack,
-    opts: Arc<NegotiateOpts>,
-    inflight: tokio::task::JoinSet<Result<SwitchableConnOf<S>, Error>>,
-}
+/// A stream of [`SwitchableConn`]s: what [`NegotiatedStream::switchable`]
+/// returns.
+pub type SwitchableStream<S, Stack> =
+    NegotiatedStream<S, Stack, SwitchableConn<<S as ConnStream>::Connection>>;
 
-type SwitchableConnOf<S> = SwitchableConn<<S as ConnStream>::Connection>;
-
-impl<S, Stack, InC> SwitchableStream<S, Stack>
-where
-    S: ConnStream<Connection = InC>,
-    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
-    Stack: GetOffers + Apply<EpochConn<InC>> + Clone + Send + Sync + 'static,
-    Stack::Applied: ChunnelConnection<Data = Datagram> + Drain + Send + Sync + 'static,
-{
-    /// Wrap `raw`, negotiating `stack` for each incoming connection.
-    pub fn new(raw: S, stack: Stack, opts: NegotiateOpts) -> Self {
-        SwitchableStream {
-            raw: Some(raw),
-            stack,
-            opts: Arc::new(opts),
-            inflight: tokio::task::JoinSet::new(),
-        }
-    }
-}
-
-impl<S, Stack, InC> ConnStream for SwitchableStream<S, Stack>
-where
-    S: ConnStream<Connection = InC> + Send,
-    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
-    Stack: GetOffers + Apply<EpochConn<InC>> + Clone + Send + Sync + 'static,
-    Stack::Applied: ChunnelConnection<Data = Datagram> + Drain + Send + Sync + 'static,
-{
-    type Connection = SwitchableConn<InC>;
-
-    fn next(&mut self) -> BoxFut<'_, Option<Result<Self::Connection, Error>>> {
-        Box::pin(async move {
-            loop {
-                if self.raw.is_none() && self.inflight.is_empty() {
-                    return None;
-                }
-                tokio::select! {
-                    incoming = async {
-                        match &mut self.raw {
-                            Some(r) => r.next().await,
-                            None => None,
-                        }
-                    }, if self.raw.is_some() => {
-                        match incoming {
-                            Some(Ok(conn)) => {
-                                let stack = self.stack.clone();
-                                let opts = Arc::clone(&self.opts);
-                                self.inflight.spawn(async move {
-                                    negotiate_server_switchable(stack, conn, (*opts).clone())
-                                        .await
-                                });
-                            }
-                            Some(Err(e)) => return Some(Err(e)),
-                            None => {
-                                self.raw = None;
-                            }
-                        }
-                    }
-                    joined = self.inflight.join_next(), if !self.inflight.is_empty() => {
-                        match joined {
-                            Some(Ok(result)) => return Some(result),
-                            Some(Err(join_err)) => {
-                                return Some(Err(Error::Other(format!(
-                                    "negotiation task panicked: {join_err}"
-                                ))))
-                            }
-                            None => {}
-                        }
-                    }
-                }
-            }
+impl<S: ConnStream, Stack> NegotiatedStream<S, Stack, ()> {
+    /// Like [`new`](Self::new), but every accepted connection supports
+    /// mid-connection re-negotiation.
+    pub fn switchable<InC>(raw: S, stack: Stack, opts: NegotiateOpts) -> SwitchableStream<S, Stack>
+    where
+        S: ConnStream<Connection = InC>,
+        InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
+        Stack: GetOffers + Apply<EpochConn<InC>> + Clone + Send + Sync + 'static,
+        Stack::Applied: ChunnelConnection<Data = Datagram> + Drain + Send + Sync + 'static,
+    {
+        Self::with(raw, stack, opts, |stack, conn, opts| {
+            Box::pin(negotiate_server_switchable(stack, conn, (*opts).clone()))
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::handshake::TAG_DATA;
     use super::*;
     use crate::chunnel::Chunnel;
     use crate::conn::pair;
@@ -1302,6 +1075,26 @@ mod tests {
     }
 
     crate::negotiable!(Rel);
+
+    /// What a hand-driven peer puts on the wire.
+    fn neg(msg: &NegotiateMsg) -> Frame {
+        let ctx = tele::TraceContext::new_root();
+        frame_neg(&ctx, &bincode::serialize(msg).unwrap()).into()
+    }
+
+    fn data(epoch: u64, body: &[u8]) -> Frame {
+        let mut f = Frame::from(body);
+        wire::prepend_data(&mut f, epoch);
+        f
+    }
+
+    /// What a hand-driven peer reads off it.
+    fn parse_neg(buf: &[u8]) -> NegotiateMsg {
+        let Kind::Neg { body, .. } = wire::classify(buf) else {
+            panic!("expected a negotiation frame");
+        };
+        bincode::deserialize(body).unwrap()
+    }
 
     #[tokio::test]
     async fn renegotiation_swaps_both_sides_and_data_flows() {
@@ -1400,71 +1193,59 @@ mod tests {
                 .await
         });
 
-        // Answer the initial offer (sent traced; plain replies are fine).
+        // Answer the initial offer.
         let (from, buf) = peer.recv().await.unwrap();
-        assert_eq!(buf[0], TAG_NEG_TRACE);
+        assert!(matches!(parse_neg(&buf), NegotiateMsg::ClientOffer { .. }));
         let pick = Offer::from_chunnel(&Rel);
         let reply = NegotiateMsg::ServerReply(Ok(ServerPicks {
             name: "peer".into(),
             picks: vec![pick.clone()],
             nonce: vec![0; 16],
         }));
-        peer.send((
-            from.clone(),
-            frame(TAG_NEG, &bincode::serialize(&reply).unwrap()).into(),
-        ))
-        .await
-        .unwrap();
+        peer.send((from.clone(), neg(&reply))).await.unwrap();
         let (cli, _) = cli_task.await.unwrap().unwrap();
 
         // A frame from epoch 2 arrives early (we are at 0): buffered, not
         // delivered. An untagged data frame is delivered at any epoch.
-        peer.send((from.clone(), frame_epoch(2, b"too-early").into()))
+        peer.send((from.clone(), data(2, b"too-early")))
             .await
             .unwrap();
-        peer.send((from.clone(), frame(TAG_DATA, b"plain").into()))
-            .await
-            .unwrap();
+        peer.send((from.clone(), data(0, b"plain"))).await.unwrap();
         let (_, m) = cli.recv().await.unwrap();
         assert_eq!(m, b"plain");
 
-        // Renegotiate; the manual peer answers the proposal for epoch 1.
-        let cli2 = cli.clone();
-        let reneg = tokio::spawn(async move { cli2.renegotiate().await });
-        let (from, buf) = peer.recv().await.unwrap();
-        assert_eq!(buf[0], TAG_NEG_TRACE);
-        let (prop_ctx, body) = neg_parts(&buf).unwrap();
-        assert!(prop_ctx.is_some(), "proposal must carry a trace context");
-        let msg: NegotiateMsg = bincode::deserialize(body).unwrap();
-        let NegotiateMsg::Renegotiate { epoch, slots, .. } = msg else {
-            panic!("expected a renegotiation proposal");
-        };
-        assert_eq!(epoch, 1);
-        assert_eq!(slots.len(), 1);
-        let reply = NegotiateMsg::RenegotiateReply {
-            epoch: 1,
-            reply: Ok(ServerPicks {
-                name: "peer".into(),
-                picks: vec![pick],
-                nonce: vec![1; 16],
-            }),
-        };
-        peer.send((
-            from.clone(),
-            frame(TAG_NEG, &bincode::serialize(&reply).unwrap()).into(),
-        ))
-        .await
-        .unwrap();
-        reneg.await.unwrap().unwrap();
-        assert_eq!(cli.epoch(), 1);
+        // Renegotiate twice; the manual peer answers each proposal.
+        for round in 1..=2u64 {
+            let cli2 = cli.clone();
+            let reneg = tokio::spawn(async move { cli2.renegotiate().await });
+            let (from, buf) = peer.recv().await.unwrap();
+            let NegotiateMsg::Renegotiate { epoch, slots, .. } = parse_neg(&buf) else {
+                panic!("expected a renegotiation proposal");
+            };
+            assert_eq!(epoch, round);
+            assert_eq!(slots.len(), 1);
+            let reply = NegotiateMsg::RenegotiateReply {
+                epoch,
+                reply: Ok(ServerPicks {
+                    name: "peer".into(),
+                    picks: vec![pick.clone()],
+                    nonce: vec![round as u8; 16],
+                }),
+            };
+            peer.send((from, neg(&reply))).await.unwrap();
+            reneg.await.unwrap().unwrap();
+            assert_eq!(cli.epoch(), round);
+        }
 
-        // Stale epoch-0 tagged frames are now dropped; epoch-1 delivered.
-        peer.send((from.clone(), frame_epoch(0, b"stale").into()))
+        // Reaching epoch 2 released the frame buffered for it. A frame
+        // tagged with the superseded epoch 1 is now dropped; epoch 2's are
+        // delivered.
+        peer.send((from.clone(), data(1, b"stale"))).await.unwrap();
+        peer.send((from.clone(), data(2, b"current")))
             .await
             .unwrap();
-        peer.send((from.clone(), frame_epoch(1, b"current").into()))
-            .await
-            .unwrap();
+        let (_, m) = cli.recv().await.unwrap();
+        assert_eq!(m, b"too-early");
         let (_, m) = cli.recv().await.unwrap();
         assert_eq!(m, b"current");
 
@@ -1476,9 +1257,7 @@ mod tests {
         // The client's sends are now epoch-tagged.
         cli.send((from, b"tagged".into())).await.unwrap();
         let (_, buf) = peer.recv().await.unwrap();
-        assert_eq!(buf[0], TAG_DATA_EPOCH);
-        assert_eq!(u64::from_le_bytes(buf[1..9].try_into().unwrap()), 1);
-        assert_eq!(&buf[9..], b"tagged");
+        assert_eq!(buf, data(2, b"tagged"));
     }
 
     #[tokio::test]
@@ -1500,9 +1279,7 @@ mod tests {
             picks: vec![Offer::from_chunnel(&Rel)],
             nonce: vec![0; 16],
         }));
-        peer.send((from, frame(TAG_NEG, &bincode::serialize(&reply).unwrap()).into()))
-            .await
-            .unwrap();
+        peer.send((from, neg(&reply))).await.unwrap();
         let (cli, _) = cli_task.await.unwrap().unwrap();
 
         // Peer never answers the proposal: the round fails, the connection
@@ -1531,17 +1308,11 @@ mod tests {
             registered: vec![],
         };
         cli_raw
-            .send((
-                Addr::Mem("srv".into()),
-                frame(TAG_NEG, &bincode::serialize(&msg).unwrap()).into(),
-            ))
+            .send((Addr::Mem("srv".into()), neg(&msg)))
             .await
             .unwrap();
         let (_, buf) = cli_raw.recv().await.unwrap();
-        assert_eq!(buf[0], TAG_NEG_TRACE);
-        let (_, body) = neg_parts(&buf).unwrap();
-        let reply: NegotiateMsg = bincode::deserialize(body).unwrap();
-        let NegotiateMsg::RenegotiateReply { epoch, reply } = reply else {
+        let NegotiateMsg::RenegotiateReply { epoch, reply } = parse_neg(&buf) else {
             panic!("expected a renegotiation reply");
         };
         assert_eq!(epoch, 3);
@@ -1552,7 +1323,7 @@ mod tests {
 
         // Epoch-3 tagged data from the client is delivered.
         cli_raw
-            .send((Addr::Mem("srv".into()), frame_epoch(3, b"resumed").into()))
+            .send((Addr::Mem("srv".into()), data(3, b"resumed")))
             .await
             .unwrap();
         let (_, m) = srv.recv().await.unwrap();

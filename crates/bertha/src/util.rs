@@ -261,6 +261,18 @@ where
     Arc::new(conn)
 }
 
+/// Abort a background task when its owner drops. A connection that spawns
+/// a pump or responder task holds one of these (in an `Arc`, if the
+/// connection is cloneable), so the task — and whatever socket, buffers and
+/// peer state it captured — cannot outlive the connection.
+pub struct AbortOnDrop(pub tokio::task::JoinHandle<()>);
+
+impl Drop for AbortOnDrop {
+    fn drop(&mut self) {
+        self.0.abort();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

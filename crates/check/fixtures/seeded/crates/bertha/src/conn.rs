@@ -1,10 +1,15 @@
-//! Seeded hot-path file: a rogue tag constant, a panicking parse, an
+//! Seeded hot-path file: a rogue tag constant, a hand-matched
+//! negotiate-channel tag, a panicking parse, an
 //! undocumented metric, a unitless histogram, a `_us` counter, an
 //! undocumented per-layer format template, a malformed span op, an
 //! undocumented span op, a blocking sleep in an async fn, a payload
 //! copy with a payload-ish clone, and a stale alloc waiver.
 
 pub const ROGUE_TAG: u8 = 0x42;
+
+pub fn is_handshake(buf: &[u8]) -> bool {
+    buf.first() == Some(&TAG_NEG)
+}
 
 pub fn recv(buf: &[u8]) -> u8 {
     tele::counter("rogue.metric").incr();

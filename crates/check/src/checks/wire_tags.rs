@@ -7,6 +7,13 @@
 //! must not collide. The registry also asserts this at compile time, but
 //! re-checking from source lets the seeded-violation self-test exercise
 //! the rule on fixture files that are never compiled.
+//!
+//! The `negotiate` channel is stricter: its tags are private to the
+//! registry module, which also holds the channel's only codec
+//! (`classify` / `prepend_data` / `frame_neg`), so no other file may even
+//! *name* one of them. The compiler enforces that through visibility;
+//! this rule is the grep-level backstop that also catches a re-declared
+//! look-alike (`const TAG_DATA: u8 = 0;` slips past the `0x` pattern).
 
 use crate::{SourceFile, Violation};
 
@@ -15,6 +22,17 @@ pub const RULE: &str = "wire-tags";
 
 /// Workspace-relative path of the registry module.
 pub const REGISTRY_PATH: &str = "crates/bertha/src/negotiate/wire.rs";
+
+/// The channel whose tags only the registry module may name.
+const SEALED_CHANNEL: &str = "negotiate";
+
+/// One parsed registry entry.
+struct Entry {
+    channel: String,
+    name: String,
+    value: u8,
+    line: usize,
+}
 
 /// Run the rule over the loaded workspace.
 pub fn check(files: &[SourceFile]) -> Vec<Violation> {
@@ -37,7 +55,18 @@ pub fn check(files: &[SourceFile]) -> Vec<Violation> {
     }
 
     match files.iter().find(|f| f.rel == REGISTRY_PATH) {
-        Some(reg) => out.extend(check_registry(reg)),
+        Some(reg) => {
+            let (entries, violations) = check_registry(reg);
+            out.extend(violations);
+            let sealed: Vec<&str> = entries
+                .iter()
+                .filter(|e| e.channel == SEALED_CHANNEL)
+                .map(|e| e.name.as_str())
+                .collect();
+            for f in files.iter().filter(|f| f.rel != REGISTRY_PATH) {
+                out.extend(sealed_tag_uses(f, &sealed));
+            }
+        }
         None => out.push(Violation {
             file: REGISTRY_PATH.to_string(),
             line: 1,
@@ -86,13 +115,44 @@ fn matches_tag_decl(rest: &[u8]) -> bool {
     true
 }
 
+/// Non-test code in `f` that names a tag of the sealed channel (at most
+/// one finding per line).
+fn sealed_tag_uses(f: &SourceFile, sealed: &[&str]) -> Vec<Violation> {
+    let hay = f.masked.as_bytes();
+    let mut lines: Vec<(usize, &str)> = Vec::new();
+    for name in sealed {
+        for p in super::word_matches(f, name) {
+            // `TAG_DATA` must not match inside `TAG_DATA_EPOCH`.
+            let ends = hay
+                .get(p + name.len())
+                .is_none_or(|c| !(c.is_ascii_alphanumeric() || *c == b'_'));
+            if ends {
+                lines.push((f.line_of(p), name));
+            }
+        }
+    }
+    lines.sort_unstable();
+    lines.dedup_by_key(|(line, _)| *line);
+    lines
+        .into_iter()
+        .map(|(line, name)| Violation {
+            file: f.rel.clone(),
+            line,
+            rule: RULE,
+            msg: format!(
+                "{SEALED_CHANNEL}-channel tag `{name}` named outside the registry module; \
+                 go through wire::classify / prepend_data / frame_neg"
+            ),
+        })
+        .collect()
+}
+
 /// Parse the registry's `// channel:` groups out of the raw text and
 /// re-verify per-channel uniqueness.
-fn check_registry(reg: &SourceFile) -> Vec<Violation> {
+fn check_registry(reg: &SourceFile) -> (Vec<Entry>, Vec<Violation>) {
     let mut out = Vec::new();
     let mut channel: Option<String> = None;
-    // (channel, name, value, line)
-    let mut entries: Vec<(String, String, u8, usize)> = Vec::new();
+    let mut entries: Vec<Entry> = Vec::new();
 
     for (idx, line) in reg.raw.lines().enumerate() {
         let ln = idx + 1;
@@ -101,7 +161,8 @@ fn check_registry(reg: &SourceFile) -> Vec<Violation> {
             channel = Some(rest.trim().to_string());
             continue;
         }
-        if let Some(rest) = t.strip_prefix("pub const ") {
+        // Tags are `pub const` or, on a sealed channel, plain `const`.
+        if let Some(rest) = t.strip_prefix("pub ").unwrap_or(t).strip_prefix("const ") {
             let Some((name, tail)) = rest.split_once(':') else {
                 continue;
             };
@@ -128,7 +189,12 @@ fn check_registry(reg: &SourceFile) -> Vec<Violation> {
                 continue;
             };
             match &channel {
-                Some(c) => entries.push((c.clone(), name.trim().to_string(), value, ln)),
+                Some(c) => entries.push(Entry {
+                    channel: c.clone(),
+                    name: name.trim().to_string(),
+                    value,
+                    line: ln,
+                }),
                 None => out.push(Violation {
                     file: reg.rel.clone(),
                     line: ln,
@@ -141,20 +207,20 @@ fn check_registry(reg: &SourceFile) -> Vec<Violation> {
 
     for (i, a) in entries.iter().enumerate() {
         for b in &entries[i + 1..] {
-            if a.0 == b.0 && a.2 == b.2 {
+            if a.channel == b.channel && a.value == b.value {
                 out.push(Violation {
                     file: reg.rel.clone(),
-                    line: b.3,
+                    line: b.line,
                     rule: RULE,
                     msg: format!(
                         "tag collision on channel `{}`: `{}` and `{}` are both 0x{:02x}",
-                        a.0, a.1, b.1, a.2
+                        a.channel, a.name, b.name, a.value
                     ),
                 });
             }
         }
     }
-    out
+    (entries, out)
 }
 
 #[cfg(test)]
@@ -202,6 +268,28 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("collision"));
         assert!(v[0].msg.contains('X') && v[0].msg.contains('Y'));
+    }
+
+    #[test]
+    fn sealed_channel_tags_may_not_be_named_elsewhere() {
+        let reg = sf(
+            REGISTRY_PATH,
+            "// channel: negotiate\nconst TAG_DATA: u8 = 0x00;\nconst TAG_DATA_EPOCH: u8 = 0x02;\n\
+             // channel: other\npub const OPEN: u8 = 0x00;\n",
+        );
+        let user = sf(
+            "crates/x/src/lib.rs",
+            "// TAG_DATA in prose is fine\n\
+             fn f(b: &[u8]) -> bool { b[0] == TAG_DATA }\n\
+             fn g(b: &[u8]) -> bool { b[0] == wire::TAG_DATA_EPOCH || b[0] == OPEN }\n\
+             #[cfg(test)]\nmod tests { fn t() { let _ = TAG_DATA; } }\n",
+        );
+        let v = check(&[reg, user]);
+        let got: Vec<(usize, bool)> = v
+            .iter()
+            .map(|v| (v.line, v.msg.contains("`TAG_DATA_EPOCH`")))
+            .collect();
+        assert_eq!(got, vec![(2, false), (3, true)], "{v:?}");
     }
 
     #[test]

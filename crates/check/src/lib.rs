@@ -5,7 +5,8 @@
 //! families (DESIGN.md §10):
 //!
 //! 1. **wire-tags** — every framing tag byte is defined in
-//!    `bertha::negotiate::wire`, and no two tags on one channel collide;
+//!    `bertha::negotiate::wire`, no two tags on one channel collide, and
+//!    the negotiate channel's tags are named nowhere else;
 //! 2. **panic-lint** — no `unwrap()`/`expect()`/panicking macros/slice
 //!    indexing in designated data-plane hot-path modules;
 //! 3. **metric-names** — telemetry names emitted by code, documented in

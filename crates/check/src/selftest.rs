@@ -18,6 +18,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ("wire-tags", "not under a `// channel:` marker"),
     ("wire-tags", "0x literal"),
     ("wire-tags", "outside the"),
+    ("wire-tags", "negotiate-channel tag `TAG_NEG` named outside"),
     ("panic-lint", "unwrap"),
     ("panic-lint", "index"),
     ("metric-names", "rogue.metric"),

@@ -12,6 +12,7 @@
 
 use bertha::conn::{BoxFut, ChunnelConnection, Datagram, Drain, ProfiledConn};
 use bertha::negotiate::{guid, Negotiate};
+use bertha::util::AbortOnDrop;
 use bertha::{Addr, Chunnel, Error};
 use bertha_telemetry as tele;
 use parking_lot::Mutex;
@@ -93,13 +94,7 @@ pub struct HeartbeatConn<C> {
     cfg: HeartbeatConfig,
     state: Arc<Mutex<Liveness>>,
     stats: Arc<HeartbeatStats>,
-    beater: tokio::task::JoinHandle<()>,
-}
-
-impl<C> Drop for HeartbeatConn<C> {
-    fn drop(&mut self) {
-        self.beater.abort();
-    }
+    _beater: AbortOnDrop,
 }
 
 impl<InC> Chunnel<InC> for HeartbeatChunnel
@@ -135,7 +130,7 @@ where
                 cfg,
                 state,
                 stats,
-                beater,
+                _beater: AbortOnDrop(beater),
             };
             Ok(ProfiledConn::datagram(Self::NAME, conn))
         })

@@ -12,18 +12,19 @@
 //!
 //! A dedicated pump task owns the inner connection's receive side so ACKs
 //! are processed even when the application is not in `recv` (one-way
-//! flows). The task holds only a weak reference and exits when the
-//! connection is dropped.
+//! flows). It and the retransmit pacer are aborted when the connection is
+//! dropped, releasing the inner connection and every unacknowledged frame.
 
 use bertha::buf::Frame;
 use bertha::conn::{BoxFut, ChunnelConnection, Datagram, Drain, ProfiledConn};
 use bertha::negotiate::{guid, Negotiate};
+use bertha::util::AbortOnDrop;
 use bertha::{Addr, Chunnel, Error};
 use bertha_telemetry as tele;
 use parking_lot::Mutex;
 use rand::Rng;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::{mpsc, Notify};
 
@@ -173,6 +174,10 @@ pub struct ReliableConn<C> {
     /// instead of waiting forever on a dead connection.
     dead: Arc<Notify>,
     delivery: tokio::sync::Mutex<mpsc::Receiver<Datagram>>,
+    /// The pump and the pacer. They share `inner` and `state`, so they must
+    /// not outlive the connection: a pump parked in `recv` would otherwise
+    /// keep the socket and the retransmit queue alive forever.
+    _tasks: [AbortOnDrop; 2],
 }
 
 /// The 9-byte `[DATA][seq]` header, prepended into the frame's headroom.
@@ -220,16 +225,16 @@ where
         let stats = Arc::new(ReliableStats::new());
         let (delivery_tx, delivery_rx) = mpsc::channel(1024);
 
-        tokio::spawn(pump(
-            Arc::downgrade(&inner),
+        let pump = tokio::spawn(pump(
+            Arc::clone(&inner),
             Arc::clone(&state),
             Arc::clone(&stats),
             Arc::clone(&acked),
             Arc::clone(&dead),
             delivery_tx,
         ));
-        tokio::spawn(retransmit(
-            Arc::downgrade(&inner),
+        let pacer = tokio::spawn(retransmit(
+            Arc::clone(&inner),
             Arc::clone(&state),
             Arc::clone(&stats),
             Arc::clone(&acked),
@@ -245,6 +250,7 @@ where
             acked,
             dead,
             delivery: tokio::sync::Mutex::new(delivery_rx),
+            _tasks: [AbortOnDrop(pump), AbortOnDrop(pacer)],
         }
     }
 
@@ -261,7 +267,7 @@ where
 
 /// Receive pump: acks incoming data, consumes acks, delivers fresh payloads.
 async fn pump<C>(
-    inner: Weak<C>,
+    conn: Arc<C>,
     state: Arc<Mutex<RelState>>,
     stats: Arc<ReliableStats>,
     acked: Arc<Notify>,
@@ -271,12 +277,7 @@ async fn pump<C>(
     C: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
 {
     loop {
-        let conn = match inner.upgrade() {
-            Some(c) => c,
-            None => return,
-        };
-        let recvd = conn.recv().await;
-        let (from, buf) = match recvd {
+        let (from, buf) = match conn.recv().await {
             Ok(d) => d,
             Err(e) => {
                 if e.is_closed() {
@@ -359,7 +360,7 @@ async fn pump<C>(
 /// Retransmit pacer: resends expired payloads, kills the connection when
 /// the retry budget runs out.
 async fn retransmit<C>(
-    inner: Weak<C>,
+    conn: Arc<C>,
     state: Arc<Mutex<RelState>>,
     stats: Arc<ReliableStats>,
     acked: Arc<Notify>,
@@ -374,10 +375,6 @@ async fn retransmit<C>(
     let rto_hist = tele::histogram("reliable.rto_us");
     loop {
         tokio::time::sleep(tick).await;
-        let conn = match inner.upgrade() {
-            Some(c) => c,
-            None => return,
-        };
         let now = Instant::now();
         let mut to_send = Vec::new();
         {

@@ -5,7 +5,7 @@
 
 use bertha::conn::{pair, ChunnelConnection, Datagram};
 use bertha::negotiate::{negotiate_server_switchable, negotiate_switchable_client, NegotiateOpts};
-use bertha::{wrap, Addr, Chunnel, Error};
+use bertha::{wrap, Addr, Chunnel};
 use bertha_chunnels::heartbeat::HeartbeatChunnel;
 use bertha_chunnels::reliable::{ReliabilityChunnel, ReliabilityConfig};
 use bertha_transport::fault::{FaultChunnel, FaultConfig};
@@ -32,7 +32,7 @@ async fn budget_exhaustion_wakes_blocked_recv() {
     let addr = Addr::Mem("wakeup".into());
 
     // Healthy first: one round trip.
-    ca.send((addr.clone(), b"ping".to_vec())).await.unwrap();
+    ca.send((addr.clone(), b"ping".into())).await.unwrap();
     let (_, got) = cb.recv().await.unwrap();
     assert_eq!(got, b"ping");
 
@@ -42,7 +42,7 @@ async fn budget_exhaustion_wakes_blocked_recv() {
     let blocked = tokio::spawn(async move { parked.recv().await });
     tokio::time::sleep(Duration::from_millis(20)).await; // let it block
     handle.set_blackhole(true);
-    ca.send((addr, b"lost".to_vec())).await.unwrap();
+    ca.send((addr, b"lost".into())).await.unwrap();
 
     let res = tokio::time::timeout(Duration::from_secs(2), blocked)
         .await
@@ -64,7 +64,7 @@ async fn silent_peer_times_out_heartbeat_recv() {
     let ca = hb.connect_wrap(a).await.unwrap();
 
     // The peer (raw end) sees data and heartbeat frames but never answers.
-    ca.send((addr, b"hello".to_vec())).await.unwrap();
+    ca.send((addr, b"hello".into())).await.unwrap();
     let (_, frame) = b.recv().await.unwrap();
     assert_eq!(frame, [&[0x10u8][..], b"hello"].concat());
 
@@ -105,10 +105,10 @@ async fn renegotiation_revives_a_dead_endpoint() {
     let srv = srv_task.await.unwrap().unwrap();
 
     // Epoch-0 traffic, both directions.
-    cli.send((addr.clone(), b"up?".to_vec())).await.unwrap();
+    cli.send((addr.clone(), b"up?".into())).await.unwrap();
     let (from, got) = srv.recv().await.unwrap();
     assert_eq!(got, b"up?");
-    srv.send((from, b"up".to_vec())).await.unwrap();
+    srv.send((from, b"up".into())).await.unwrap();
     assert_eq!(cli.recv().await.unwrap().1, b"up");
 
     // The path dies. A blocked recv errors out within the liveness bound
@@ -128,13 +128,13 @@ async fn renegotiation_revives_a_dead_endpoint() {
         .expect("renegotiation over the healed path");
     assert_eq!(cli.epoch(), 1);
 
-    cli.send((addr.clone(), b"back?".to_vec())).await.unwrap();
+    cli.send((addr.clone(), b"back?".into())).await.unwrap();
     let (from, got) = tokio::time::timeout(Duration::from_secs(2), srv.recv())
         .await
         .expect("revived server recv")
         .unwrap();
     assert_eq!(got, b"back?");
-    srv.send((from, b"back".to_vec())).await.unwrap();
+    srv.send((from, b"back".into())).await.unwrap();
     let (_, got) = tokio::time::timeout(Duration::from_secs(2), cli.recv())
         .await
         .expect("revived client recv")

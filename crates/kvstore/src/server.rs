@@ -5,7 +5,7 @@
 //! the software fallback without losing its session.
 
 use crate::store::Store;
-use bertha::negotiate::{NegotiateOpts, SwitchableStream};
+use bertha::negotiate::{NegotiateOpts, NegotiatedStream};
 use bertha::{Addr, ChunnelListener, ConnStream, Error};
 use bertha_shard::{serve_shard, ShardCanonicalServer, ShardFnSpec, ShardInfo};
 use bertha_transport::udp::UdpListener;
@@ -82,15 +82,15 @@ pub async fn serve_canonical(
 
 /// Serve an already-bound listener (used when a steerer owns the canonical
 /// address and the application listens on an internal one). Connections
-/// are accepted via [`SwitchableStream`], so each one can be re-negotiated
-/// in place if the implementation it picked stops working.
+/// are accepted via [`NegotiatedStream::switchable`], so each one can be
+/// re-negotiated in place if the implementation it picked stops working.
 pub fn serve_prepared(
     raw: bertha_transport::udp::UdpIncoming,
     info: ShardInfo,
     opts: NegotiateOpts,
 ) -> tokio::task::JoinHandle<()> {
     let stack = bertha::wrap!(ShardCanonicalServer::new(info));
-    let mut stream = SwitchableStream::new(raw, stack, opts);
+    let mut stream = NegotiatedStream::switchable(raw, stack, opts);
     tokio::spawn(async move {
         let mut held = Vec::new();
         while let Some(conn) = stream.next().await {

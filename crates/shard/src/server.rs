@@ -16,10 +16,9 @@
 //!   still provides correctness").
 
 use crate::info::ShardInfo;
-use crate::worker::strip_data;
-use bertha::negotiate::TAG_DATA;
 use crate::{IMPL_CLIENT_PUSH, IMPL_FALLBACK, IMPL_STEER, SHARD_CAPABILITY};
 use bertha::conn::{BoxFut, ChunnelConnection, Datagram, Drain};
+use bertha::negotiate::wire::{self, Kind};
 use bertha::negotiate::{Endpoints, NegotiateSlot, Offer, Scope, SlotApply};
 use bertha::{Addr, Error};
 use bertha_transport::bind_any;
@@ -94,7 +93,7 @@ async fn run_dispatcher(info: ShardInfo, mut rx: mpsc::Receiver<DispatchMsg>) {
         let shard = info.shard_addr(&msg.payload).clone();
         // Tag in place: the request frame came off the wire with headroom.
         let mut req = msg.payload;
-        req.prepend(&[TAG_DATA]);
+        wire::prepend_data(&mut req, 0);
         if out.send((shard, req)).await.is_err() {
             continue;
         }
@@ -102,7 +101,7 @@ async fn run_dispatcher(info: ShardInfo, mut rx: mpsc::Receiver<DispatchMsg>) {
         let reply = match tokio::time::timeout(std::time::Duration::from_secs(5), out.recv()).await
         {
             Ok(Ok((_, mut frame))) => {
-                let Some(off) = strip_data(&frame).map(|r| frame.len() - r.len()) else {
+                let Kind::Data { off } = wire::classify(&frame) else {
                     continue;
                 };
                 frame.strip(off);

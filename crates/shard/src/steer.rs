@@ -19,11 +19,13 @@
 //! - replies arriving on the flow socket are relayed back to the client
 //!   from the canonical address, so the client sees a single peer.
 //!
-//! Epoch-tagged data frames (from clients that re-negotiated
-//! mid-connection) steer exactly like plain ones: `strip_data` skips the
-//! epoch header, the hash reads the same fixed payload bytes, and the
-//! frame is forwarded verbatim — the steerer stays stateless with respect
-//! to the client's stack incarnation.
+//! What a datagram *is* — handshake, data, junk — is decided by
+//! [`wire::classify`], the same function the endpoints use, so the steerer
+//! cannot disagree with them about the framing. Epoch-tagged data frames
+//! (from clients that re-negotiated mid-connection) steer exactly like
+//! plain ones: the hash reads the same fixed payload bytes past the header,
+//! and the frame is forwarded verbatim — the steerer stays stateless with
+//! respect to the client's stack incarnation.
 //!
 //! The steerer is also the canonical offload-death case this repo's
 //! failure model is built around: [`supervise_steerer`] watches a running
@@ -35,12 +37,10 @@
 
 use crate::info::ShardInfo;
 use crate::server::ShardCanonicalServer;
-use crate::worker::strip_data;
 use crate::{IMPL_STEER, SHARD_CAPABILITY};
-use bertha::conn::{ChunnelConnection, Datagram, Drain};
-use bertha::negotiate::{
-    Apply, Endpoints, EpochConn, GetOffers, NegotiateOpts, Scope, SwitchableStream, TAG_NEG,
-};
+use bertha::conn::ChunnelConnection;
+use bertha::negotiate::wire::{self, Kind};
+use bertha::negotiate::{Endpoints, NegotiateOpts, NegotiatedStream, Scope};
 use bertha::ChunnelListener;
 use bertha::{Addr, ConnStream, Error};
 use bertha_discovery::registry::{Hooks, Registration};
@@ -180,25 +180,23 @@ pub async fn run_steerer(
                     Err(_) => return,
                 };
 
-                let dst = match frame.first() {
-                    Some(&TAG_NEG) => {
+                let dst = match wire::classify(&frame) {
+                    Kind::Neg { .. } => {
                         stats.handshakes.incr();
                         internal_server.clone()
                     }
-                    _ => match strip_data(&frame) {
-                        Some(payload) => {
-                            let shard = info.shard_of(payload);
-                            stats.steered.incr();
-                            if let Some(c) = stats.per_shard.get(shard) {
-                                c.incr();
-                            }
-                            info.shards[shard].clone()
+                    Kind::Data { off } | Kind::DataEpoch { off, .. } => {
+                        let shard = info.shard_of(&frame[off..]);
+                        stats.steered.incr();
+                        if let Some(c) = stats.per_shard.get(shard) {
+                            c.incr();
                         }
-                        None => {
-                            stats.dropped.incr();
-                            continue;
-                        }
-                    },
+                        info.shards[shard].clone()
+                    }
+                    Kind::Unknown => {
+                        stats.dropped.incr();
+                        continue;
+                    }
                 };
 
                 let flow = match flows.get(&from) {
@@ -273,12 +271,10 @@ impl Drop for FallbackServer {
 /// Accept and hold switchable connections until the stream ends: the
 /// connections' background work (responder halves, fallback dispatch
 /// pumps) lives exactly as long as the server.
-fn hold_all<S, Stack, InC>(mut stream: SwitchableStream<S, Stack>) -> tokio::task::JoinHandle<()>
+fn hold_all<S>(mut stream: S) -> tokio::task::JoinHandle<()>
 where
-    S: ConnStream<Connection = InC> + Send + 'static,
-    InC: ChunnelConnection<Data = Datagram> + Send + Sync + 'static,
-    Stack: GetOffers + Apply<EpochConn<InC>> + Clone + Send + Sync + 'static,
-    Stack::Applied: ChunnelConnection<Data = Datagram> + Drain + Send + Sync + 'static,
+    S: ConnStream + 'static,
+    S::Connection: Send,
 {
     tokio::spawn(async move {
         let mut held = Vec::new();
@@ -316,7 +312,7 @@ pub async fn serve_fallback(
         let bound = raw.local_addr();
         Ok(FallbackServer {
             canonical: bound,
-            task: hold_all(SwitchableStream::new(raw, stack, opts)),
+            task: hold_all(NegotiatedStream::switchable(raw, stack, opts)),
         })
     } else if matches!(canonical, Addr::Mem(_)) {
         let raw = bertha_transport::MemListener
@@ -324,7 +320,7 @@ pub async fn serve_fallback(
             .await?;
         Ok(FallbackServer {
             canonical,
-            task: hold_all(SwitchableStream::new(raw, stack, opts)),
+            task: hold_all(NegotiatedStream::switchable(raw, stack, opts)),
         })
     } else {
         Err(Error::Other(format!(
@@ -460,8 +456,7 @@ pub fn keep_steerer_registered(
 mod tests {
     use super::*;
     use crate::info::ShardFnSpec;
-    use crate::worker::{frame_data, serve_shard};
-    use bertha::negotiate::TAG_DATA;
+    use crate::worker::{frame_data, serve_shard, strip_data};
     use bertha::ChunnelConnector;
     use bertha_transport::udp::{bind_udp, UdpConnector};
 
@@ -518,8 +513,11 @@ mod tests {
         let client = UdpConnector.connect(canonical.clone()).await.unwrap();
 
         // A handshake frame comes back verbatim (via the internal server).
-        let hs = vec![TAG_NEG, 0xaa, 0xbb];
-        client.send((canonical.clone(), hs.clone().into())).await.unwrap();
+        let hs = wire::frame_neg(&tele::TraceContext::new_root(), &[0xaa, 0xbb]);
+        client
+            .send((canonical.clone(), hs.clone().into()))
+            .await
+            .unwrap();
         let (from, echoed) = client.recv().await.unwrap();
         assert_eq!(echoed, hs);
         assert_eq!(
@@ -559,7 +557,79 @@ mod tests {
         t0.abort();
         t1.abort();
         internal_task.abort();
-        let _ = TAG_DATA;
+    }
+
+    #[tokio::test]
+    async fn client_negotiates_and_echoes_through_the_steerer() {
+        use crate::client::ShardDeferChunnel;
+        use bertha::negotiate::negotiate_client;
+        use bertha_transport::mem::{MemConnector, MemListener, MemSocket};
+
+        // One in-memory shard echoing requests with a marker appended.
+        let shard = MemSocket::bind(None).unwrap();
+        let shard_addr = shard.local_addr();
+        let shard_task = tokio::spawn(async move {
+            while let Ok((from, frame)) = shard.recv().await {
+                let mut reply = strip_data(&frame).unwrap().to_vec();
+                reply.push(b'!');
+                let _ = shard.send((from, frame_data(&reply).into())).await;
+            }
+        });
+
+        // The application server listens on an internal address; only the
+        // steerer owns the canonical one.
+        let canonical = Addr::Mem("steer-e2e-canonical".into());
+        let internal = Addr::Mem("steer-e2e-internal".into());
+        let info = ShardInfo {
+            canonical: canonical.clone(),
+            shards: vec![shard_addr],
+            shard_fn: ShardFnSpec::paper_default(),
+        };
+        let raw = MemListener.listen(internal.clone()).await.unwrap();
+        // The operator registered the steerer, so negotiation may offer it.
+        let registry = Arc::new(bertha_discovery::Registry::new());
+        let (reg, hooks, activations) = steerer_registration(None);
+        registry.register(reg, hooks).unwrap();
+        let opts = NegotiateOpts::named("srv").with_filter(bertha_discovery::DiscoveryClient::new(
+            registry as Arc<dyn bertha_discovery::RegistrySource>,
+        ));
+        let server = hold_all(NegotiatedStream::switchable(
+            raw,
+            bertha::wrap!(ShardCanonicalServer::new(info.clone())),
+            opts,
+        ));
+        let steerer = run_steerer(canonical.clone(), internal, info)
+            .await
+            .unwrap();
+
+        let raw = MemConnector.connect(canonical.clone()).await.unwrap();
+        let (conn, picks) = negotiate_client(
+            bertha::wrap!(ShardDeferChunnel),
+            raw,
+            canonical.clone(),
+            &NegotiateOpts::named("cli"),
+        )
+        .await
+        .expect("the handshake must cross the steerer");
+        assert_eq!(picks.picks[0].impl_guid, IMPL_STEER);
+        assert_eq!(steerer.stats.handshakes.get(), 1);
+        assert_eq!(activations.load(Ordering::Relaxed), 1);
+
+        let req = payload_with_key(7, b"req");
+        conn.send((canonical.clone(), req.clone().into()))
+            .await
+            .unwrap();
+        let (from, reply) = conn.recv().await.unwrap();
+        assert_eq!(
+            from, canonical,
+            "replies come back from the canonical address"
+        );
+        assert_eq!(reply[..req.len()], req[..]);
+        assert_eq!(*reply.last().unwrap(), b'!');
+        assert_eq!(steerer.stats.steered.get(), 1);
+
+        server.abort();
+        shard_task.abort();
     }
 
     #[tokio::test]

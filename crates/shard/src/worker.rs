@@ -9,40 +9,37 @@
 //! different implementations being picked by different connections").
 //!
 //! Requests and replies travel in established-connection framing (the
-//! negotiation layer's one-byte data tag), so clients' negotiated
+//! negotiation layer's data framing, [`wire`]), so clients' negotiated
 //! connections accept shard replies as ordinary traffic. Clients that have
-//! re-negotiated mid-connection tag their data with an epoch
-//! ([`TAG_DATA_EPOCH`]); workers accept those frames too, and reply with
-//! the plain data tag — which re-negotiable connections accept at any
-//! epoch, precisely because shard workers are stateless with respect to
-//! the client's stack.
+//! re-negotiated mid-connection tag their data with an epoch; workers
+//! accept those frames too, and reply with the plain data framing — which
+//! re-negotiable connections accept at any epoch, precisely because shard
+//! workers are stateless with respect to the client's stack.
 
+use bertha::buf::Frame;
 use bertha::conn::ChunnelConnection;
-use bertha::negotiate::{TAG_DATA, TAG_DATA_EPOCH};
+use bertha::negotiate::wire::{self, Kind};
 use bertha::{Addr, Error};
 use bertha_transport::udp::bind_udp;
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Add the data tag to an application payload (wire form).
+/// Put an application payload in plain data framing (wire form).
 pub fn frame_data(payload: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(1 + payload.len());
-    f.push(TAG_DATA);
-    f.extend_from_slice(payload);
-    f
+    let mut f = Frame::from(payload);
+    wire::prepend_data(&mut f, 0);
+    f.into_vec()
 }
 
 /// Strip established-connection framing, if present, from a wire frame:
-/// either the plain data tag or an epoch-tagged frame
-/// (`[tag][epoch: u64 LE][payload]`) from a client that has re-negotiated.
+/// plain data, or epoch-tagged data from a client that has re-negotiated.
 /// The epoch is irrelevant to a shard worker — it names the client's stack
 /// incarnation, not anything about the request — so it is discarded.
 pub fn strip_data(frame: &[u8]) -> Option<&[u8]> {
-    match frame.split_first() {
-        Some((&TAG_DATA, body)) => Some(body),
-        Some((&TAG_DATA_EPOCH, rest)) if rest.len() >= 8 => Some(&rest[8..]),
-        _ => None,
+    match wire::classify(frame) {
+        Kind::Data { off } | Kind::DataEpoch { off, .. } => frame.get(off..),
+        Kind::Neg { .. } | Kind::Unknown => None,
     }
 }
 
@@ -83,8 +80,8 @@ where
             match handler(payload.to_vec()).await {
                 Some(reply) => {
                     stats2.handled.fetch_add(1, Ordering::Relaxed);
-                    let mut f: bertha::buf::Frame = reply.into();
-                    f.prepend(&[TAG_DATA]);
+                    let mut f: Frame = reply.into();
+                    wire::prepend_data(&mut f, 0);
                     let _ = sock.send((from, f)).await;
                 }
                 None => {
@@ -141,11 +138,10 @@ mod tests {
 
     #[test]
     fn epoch_tagged_frames_are_stripped_too() {
-        let mut f = vec![TAG_DATA_EPOCH];
-        f.extend_from_slice(&7u64.to_le_bytes());
-        f.extend_from_slice(b"payload");
+        let mut f = Frame::from(b"payload");
+        wire::prepend_data(&mut f, 7);
         assert_eq!(strip_data(&f).unwrap(), b"payload");
         // A truncated epoch header is malformed, not an empty payload.
-        assert!(strip_data(&[TAG_DATA_EPOCH, 0, 0, 0]).is_none());
+        assert!(strip_data(&f[..4]).is_none());
     }
 }

@@ -18,7 +18,7 @@
 use bertha::conn::{pair, BoxFut, ChunnelConnection, Datagram};
 use bertha::negotiate::{
     guid, negotiate_server_switchable, negotiate_switchable_client, Endpoints, Negotiate,
-    NegotiateOpts, Scope, SwitchableStream,
+    NegotiateOpts, NegotiatedStream, Scope,
 };
 use bertha::{wrap, Addr, Chunnel, ChunnelConnector, ChunnelListener, ConnStream, Error, Select};
 use bertha_chunnels::reliable::{ReliabilityChunnel, ReliabilityConfig};
@@ -115,7 +115,7 @@ where
 {
     for i in ids {
         let payload = i.to_le_bytes().to_vec();
-        conn.send((addr.clone(), payload.clone()))
+        conn.send((addr.clone(), payload.clone().into()))
             .await
             .expect("send");
         let (_, echo) = tokio::time::timeout(Duration::from_secs(10), conn.recv())
@@ -181,10 +181,7 @@ async fn lease_expiry_mid_traffic_renegotiates_onto_software() {
         rto_max: Duration::from_millis(120),
         window: 32,
     };
-    let stack = wrap!(
-        ReliabilityChunnel::new(rcfg),
-        Select::new(AccelRelay, SoftRelay)
-    );
+    let stack = wrap!(ReliabilityChunnel::new(rcfg) |> Select::new(AccelRelay, SoftRelay));
 
     let server_dc = DiscoveryClient::new(Arc::clone(&registry) as Arc<dyn RegistrySource>);
     let client_dc = DiscoveryClient::new(Arc::clone(&registry) as Arc<dyn RegistrySource>);
@@ -331,7 +328,7 @@ where
     expected.push(b'!');
     let deadline = Instant::now() + overall;
     while Instant::now() < deadline {
-        let _ = conn.send((addr.clone(), payload.clone())).await;
+        let _ = conn.send((addr.clone(), payload.clone().into())).await;
         if let Ok(Ok((_, reply))) =
             tokio::time::timeout(Duration::from_millis(250), conn.recv()).await
         {
@@ -392,7 +389,7 @@ async fn steerer_death_fails_over_to_software_fallback() {
 
     let server_dc = DiscoveryClient::new(Arc::clone(&registry) as Arc<dyn RegistrySource>);
     let srv_opts = NegotiateOpts::named("kv-srv").with_filter(server_dc.clone());
-    let mut stream = SwitchableStream::new(
+    let mut stream = NegotiatedStream::switchable(
         raw,
         wrap!(ShardCanonicalServer::new(info.clone())),
         srv_opts,

@@ -7,9 +7,9 @@
 //!
 //! The wire encoding is a fixed 25 bytes — 16 bytes trace id (LE), 8
 //! bytes span id (LE), 1 flags byte (bit 0 = sampled) — prepended to
-//! negotiation frames under `TAG_NEG_TRACE` and to data frames by the
-//! `tracing/inline` chunnel. Fixed-size framing keeps the decode branch
-//! on the data path to a length check and a copy.
+//! every negotiation frame (`bertha::negotiate::wire`) and to data frames
+//! by the `tracing/inline` chunnel. Fixed-size framing keeps the decode
+//! branch on the data path to a length check and a copy.
 //!
 //! Sampling is **deterministic per trace**: `fnv64(trace_id) % N == 0`
 //! for a `1/N` rate, so both endpoints (and any relay) make the same

@@ -14,9 +14,8 @@
 //! pushes its frame onto a shared queue and then takes a drainer lock;
 //! whoever holds the lock flushes the whole queue, so frames queued while a
 //! flush is in flight ride along in the next batch instead of paying their
-//! own syscall. `BERTHA_UDP_BATCH=0` disables batching at runtime; other
-//! platforms always use the per-packet fallback. Both paths move the same
-//! bytes, so the fallback differs only in syscall count.
+//! own syscall. Other platforms use the per-packet path, the only one they
+//! have; both move the same bytes and differ only in syscall count.
 
 use bertha::buf::Frame;
 use bertha::chunnel::{ConnStream, RecvStream};
@@ -51,16 +50,8 @@ fn expect_udp(addr: &Addr) -> Result<SocketAddr, Error> {
     }
 }
 
-/// Whether batched syscalls are in play: Linux only, and the
-/// `BERTHA_UDP_BATCH=0` kill-switch wins. Read once; flipping the variable
-/// mid-process has no effect.
-fn batching() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        cfg!(target_os = "linux")
-            && std::env::var("BERTHA_UDP_BATCH").map_or(true, |v| v != "0")
-    })
-}
+/// Whether batched syscalls are in play: wherever they exist.
+const BATCHING: bool = cfg!(target_os = "linux");
 
 /// Shared send side of one UDP socket: a queue of outbound frames plus the
 /// drainer lock that serializes flushes.
@@ -91,7 +82,7 @@ impl SendQueue {
                 crate::MAX_DATAGRAM
             )));
         }
-        if !batching() {
+        if !BATCHING {
             socket.send_to(&frame, sa).await?;
             return Ok(());
         }
@@ -117,8 +108,7 @@ impl SendQueue {
 }
 
 /// Put one batch on the wire. One `sendmmsg` per iteration on Linux;
-/// per-packet otherwise (the kill-switch is checked before queueing, so
-/// reaching here on Linux means batching is on).
+/// per-packet otherwise.
 #[cfg(target_os = "linux")]
 async fn send_batch(socket: &UdpSocket, batch: &[(SocketAddr, Frame)]) -> Result<(), Error> {
     use tokio::io::Interest;
@@ -152,7 +142,7 @@ async fn send_batch(socket: &UdpSocket, batch: &[(SocketAddr, Frame)]) -> Result
 /// pool with headroom intact, so upstream chunnels prepend in place.
 async fn recv_some(socket: &UdpSocket) -> Result<Vec<(SocketAddr, Frame)>, Error> {
     #[cfg(target_os = "linux")]
-    if batching() {
+    if BATCHING {
         use tokio::io::Interest;
         loop {
             socket.ready(Interest::READABLE).await?;
